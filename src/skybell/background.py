@@ -9,20 +9,30 @@ rate
     + 2 Re[ Tr(M_A rho_i M_B rho_j) d_iA d_jB conj(d_jA d_iB) ],
 
 the two direct assignments of photons to detectors plus their
-interference.  With the rank-1 outcome projectors this is a nonnegative
-detection rate for one of the four (+-, +-) outcome pairs; with the +-1
-polarizer observables it is the correlation-weighted rate, i.e. the
-(+,+) + (-,-) - (+,-) - (-,+) combination of the former.
+interference.  Pairs are drawn from the cross-source pairing (one photon
+from each source, entered twice as (1,2) and (2,1)) and the same-source
+pairings (1,1) and (2,2), mixed with nonnegative weights normalized to
+sum one.  :func:`effective_density_matrix` writes the weighted rate once,
+as an unnormalized 4x4 pair density matrix rho_eff with
+Tr[(M_A x M_B) rho_eff] equal to it.
 
-Pairs are drawn from the cross-source pairing (one photon from each
-source, entered twice as (1,2) and (2,1)) and the same-source pairings
-(1,1) and (2,2), mixed with nonnegative weights normalized to sum one.
-Every quantity here is an unnormalized rate in arbitrary units;
-normalization happens only when forming a correlator.
+Every polarizer operator is a combination of I, sigma_z and sigma_x with
+coefficients from (1, cos 2t, sin 2t), so contracting rho_eff with that
+basis on each side leaves one real 3x3 tensor K per config
+(:func:`correlation_tensor`): a total rate w, marginal 2-vectors m_A and
+m_B and a 2x2 correlation tensor T.  With u = (cos 2t_A, sin 2t_A) and
+v = (cos 2t_B, sin 2t_B), the (oa, ob) outcome pair is detected at the
+rate
+
+    p(oa, ob) = w (1 + oa m_A.u + ob m_B.v + oa ob u^T T v) / 4,
+
+and the correlator is u^T T v.  Every quantity here is an unnormalized
+rate in arbitrary units; normalization happens only when forming a
+correlator.
 
 When the cross legs are masked off (detector A sees only source 1 and B
-only source 2), all interference dies and the correlator reduces to the
-separable product of single-photon polarizer traces
+only source 2), all interference dies, T = m_A m_B^T, and the correlator
+reduces to the separable product of single-photon polarizer traces
 alpha_1 cos 2(t_A - n_1)/(1+alpha_1) * alpha_2 cos 2(t_B - n_2)/(1+alpha_2).
 """
 
@@ -38,17 +48,20 @@ from .polarization import (
     PolarizerAxis,
     Projector,
     SourceDensityMatrix,
-    outcome_projector,
-    projector_from_axis,
     source_density,
 )
 from .propagation import PathAmplitudeSet
 
-_WEIGHT_TOL = 1e-12
 _NEGATIVE_TOL = -1e-12
 
 #: The four +-1 outcome pairs, in fixed (A, B) order.
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+
+#: I, sigma_z, sigma_x: the polarizer observable at angle t is
+#: cos 2t sigma_z + sin 2t sigma_x.
+_BASIS = np.array(
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]
+)
 
 
 @dataclass(frozen=True)
@@ -134,51 +147,47 @@ def interference_trace(
     return complex(np.trace(pa.m @ rho1.rho @ pb.m @ rho2.rho))
 
 
-def _pairing_rate(ma, mb, rhos, amps: PathAmplitudeSet, i: int, j: int) -> complex:
-    """Four-term rate for pairing (i, j) with arbitrary 2x2 detector operators."""
-    d = (
-        (amps.d1a, amps.d1b),
-        (amps.d2a, amps.d2b),
-    )
-    dia, dib = d[i]
-    dja, djb = d[j]
-    direct1 = np.trace(ma @ rhos[i]).real * np.trace(mb @ rhos[j]).real
-    direct2 = np.trace(ma @ rhos[j]).real * np.trace(mb @ rhos[i]).real
-    cross = np.trace(ma @ rhos[i] @ mb @ rhos[j])
-    cross_swapped = np.trace(ma @ rhos[j] @ mb @ rhos[i])
-    z = dia * djb * np.conj(dja * dib)
-    return (
-        direct1 * abs(dia * djb) ** 2
-        + direct2 * abs(dja * dib) ** 2
-        + cross * z
-        + cross_swapped * np.conj(z)
-    )
+def correlation_tensor(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np.ndarray:
+    """The background's real 3x3 tensor K in the polarizer basis (I, sigma_z, sigma_x).
 
-
-def background_probability(
-    spec: BackgroundSpec, amps: PathAmplitudeSet, a: PolarizerAxis, b: PolarizerAxis
-) -> float:
-    """Weighted four-term rate with the +-1 polarizer observables.
-
-    This is the correlation-weighted (signed) coincidence rate: it
-    equals the (+,+) + (-,-) - (+,-) - (-,+) combination of the rank-1
-    outcome rates, and is the numerator of :func:`background_correlator`.
-    It is real for every valid input; a non-vanishing imaginary residue
-    signals corrupt amplitudes.
+    K[m, n] = Tr[(B_m x B_n) rho_eff] with rho_eff from
+    :func:`effective_density_matrix`: K[0, 0] is the total rate w,
+    K[1:, 0] and K[0, 1:] are w m_A and w m_B, K[1:, 1:] is w T.  Raises
+    ConsistencyError on an imaginary residue or a total rate below
+    -1e-12, both of which signal corrupt inputs.
     """
-    ma = projector_from_axis(a).m
-    mb = projector_from_axis(b).m
-    rhos = tuple(s.rho for s in spec.densities())
-    total = 0j
-    for w, i, j in spec.pairings():
-        if w == 0.0:
-            continue
-        total += w * _pairing_rate(ma, mb, rhos, amps, i, j)
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
+    rho = effective_density_matrix(spec, amps).reshape(2, 2, 2, 2)
+    k = np.einsum("mij,nkl,jlik->mn", _BASIS, _BASIS, rho)
+    residue = float(np.max(np.abs(k.imag)))
+    if residue > 1e-12 * max(1.0, float(np.max(np.abs(k.real)))):
+        raise ConsistencyError(f"correlation tensor has imaginary residue {residue:.3e}")
+    k = k.real
+    if k[0, 0] < _NEGATIVE_TOL:
         raise ConsistencyError(
-            f"correlation-weighted rate has imaginary residue {total.imag:.3e}"
+            f"total coincidence rate {k[0, 0]:.3e} is negative beyond tolerance"
         )
-    return float(total.real)
+    return k
+
+
+def _basis_vectors(theta) -> np.ndarray:
+    """Rows (cos 2t, sin 2t), one per polarizer angle t of ``theta``."""
+    t = 2.0 * np.atleast_1d(np.asarray(theta, dtype=float))
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+def tensor_correlator(k: np.ndarray, theta_a, theta_b) -> np.ndarray:
+    """u^T T v = u^T K[1:, 1:] v / K[0, 0] over the outer product of two angle grids."""
+    return _basis_vectors(theta_a) @ k[1:, 1:] @ _basis_vectors(theta_b).T / k[0, 0]
+
+
+def outcome_rates(k: np.ndarray, theta_a: float, theta_b: float) -> np.ndarray:
+    """Rates u_bar^T K v_bar / 4 of the four OUTCOME_PAIRS at one setting pair."""
+
+    def bars(theta):
+        u = _basis_vectors(theta)[0]
+        return np.array([[1.0, u[0], u[1]], [1.0, -u[0], -u[1]]])
+
+    return (bars(theta_a) @ k @ bars(theta_b).T).ravel() / 4.0
 
 
 def background_outcome_rate(
@@ -191,19 +200,11 @@ def background_outcome_rate(
 ) -> float:
     """Detection rate of the (oa, ob) outcome pair behind the two polarizers.
 
-    Uses the rank-1 outcome projectors in the four-term rate, so the
-    result is nonnegative for every physical amplitude set; a value
-    below -1e-12 signals an invalid source/amplitude combination.
+    Nonnegative for every physical amplitude set; a value below -1e-12
+    signals an invalid source/amplitude combination.
     """
-    ma = outcome_projector(a, oa)
-    mb = outcome_projector(b, ob)
-    rhos = tuple(s.rho for s in spec.densities())
-    total = 0j
-    for w, i, j in spec.pairings():
-        if w == 0.0:
-            continue
-        total += w * _pairing_rate(ma, mb, rhos, amps, i, j)
-    rate = float(total.real)
+    rates = outcome_rates(correlation_tensor(spec, amps), a.angle, b.angle)
+    rate = float(rates[OUTCOME_PAIRS.index((oa, ob))])
     if rate < _NEGATIVE_TOL:
         raise ConsistencyError(
             f"outcome rate {rate:.3e} is negative beyond tolerance; "
@@ -216,50 +217,26 @@ def background_rate_total(spec: BackgroundSpec, amps: PathAmplitudeSet) -> float
     """Total coincidence rate summed over the four outcome pairs.
 
     Polarizer settings drop out of the sum, leaving the purely geometric
-    rate sum_ij w_ij [|d_iA d_jB|^2 + |d_jA d_iB|^2
-    + 2 Re(Tr(rho_i rho_j) z_ij)].
+    rate Tr rho_eff.
     """
-    rhos = tuple(s.rho for s in spec.densities())
-    d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))
-    total = 0.0
-    for w, i, j in spec.pairings():
-        if w == 0.0:
-            continue
-        dia, dib = d[i]
-        dja, djb = d[j]
-        z = dia * djb * np.conj(dja * dib)
-        overlap = float(np.trace(rhos[i] @ rhos[j]).real)
-        total += w * (
-            abs(dia * djb) ** 2
-            + abs(dja * dib) ** 2
-            + 2.0 * overlap * float(z.real)
-        )
-    if total < _NEGATIVE_TOL:
-        raise ConsistencyError(
-            f"total coincidence rate {total:.3e} is negative beyond tolerance"
-        )
-    return max(total, 0.0)
+    return max(float(correlation_tensor(spec, amps)[0, 0]), 0.0)
 
 
 def background_correlator(
     spec: BackgroundSpec, amps: PathAmplitudeSet, a: PolarizerAxis, b: PolarizerAxis
 ) -> float:
-    """Expected +-1 outcome product for unentangled pairs.
+    """Expected +-1 outcome product for unentangled pairs, u^T T v.
 
-    Assembles [R(+,+) + R(-,-) - R(+,-) - R(-,+)] / sum(R) from the
-    rank-1 outcome rates.  With the cross legs masked off this is exactly
-    the separable product of the two single-photon polarizer traces.
+    With the cross legs masked off this is exactly the separable product
+    of the two single-photon polarizer traces.
     """
-    total = background_rate_total(spec, amps)
-    if total <= 0.0:
+    k = correlation_tensor(spec, amps)
+    if k[0, 0] <= 0.0:
         raise ValueError(
             "total background rate is zero for these weights/amplitudes; "
             "no correlator is defined"
         )
-    numerator = 0.0
-    for oa, ob in OUTCOME_PAIRS:
-        numerator += oa * ob * background_outcome_rate(spec, amps, a, b, oa, ob)
-    return numerator / total
+    return float(tensor_correlator(k, a.angle, b.angle)[0, 0])
 
 
 _SWAP = np.array(

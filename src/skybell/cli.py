@@ -74,16 +74,28 @@ def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
 
-def _write_manifest(out_path: Path, command: str, argv, config_path, seed) -> Path:
-    mpath = _manifest_path(out_path)
+def _write_manifest(out_path: Path, command: str, argv, config_path, seed) -> None:
     RunManifest(
         command=command,
         argv=list(argv),
         config_path=str(config_path) if config_path else None,
         seed=seed,
         outputs=[str(out_path)],
-    ).write(mpath)
-    return mpath
+    ).write(_manifest_path(out_path))
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling temp file and a rename.
+
+    A failed write leaves neither a partial ``path`` nor the temp file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(x: float) -> str:
@@ -110,7 +122,7 @@ def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = Non
                 )
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_scan_csv(path: Path) -> ScanResult:
@@ -140,6 +152,13 @@ def read_scan_csv(path: Path) -> ScanResult:
     if header is None or not rows:
         raise ConfigError(f"scan file {path}: no data rows")
     data = np.array(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(
+            f"scan file {path}: data row {row + 1}, column {SCAN_CSV_COLUMNS[col]}: "
+            f"non-finite value {data[row, col]!r}"
+        )
     return ScanResult(
         theta_a=data[:, 0],
         theta_b=data[:, 1],
@@ -152,7 +171,7 @@ def read_scan_csv(path: Path) -> ScanResult:
 
 
 def _parse_grid(text: str, flag: str) -> np.ndarray:
-    """Parse 'start:stop:steps' (degrees) into an inclusive grid in radians."""
+    """Parse 'start:stop:steps' into an inclusive, evenly spaced grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{flag}: expected start:stop:steps, got {text!r}")
@@ -161,9 +180,33 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         steps = int(parts[2])
     except ValueError:
         raise ConfigError(f"{flag}: expected start:stop:steps, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"{flag}: start and stop must be finite, got {text!r}")
     if steps < 1:
         raise ConfigError(f"{flag}: steps must be >= 1, got {steps}")
-    return np.deg2rad(np.linspace(start, stop, steps))
+    return np.linspace(start, stop, steps)
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type: an integer in [0, 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+    return value
 
 
 def _parse_angles(text: str) -> ChshConfiguration:
@@ -174,6 +217,8 @@ def _parse_angles(text: str) -> ChshConfiguration:
         vals = [math.radians(float(v)) for v in parts]
     except ValueError:
         raise ConfigError(f"--angles: expected a:a':b:b' in degrees, got {text!r}") from None
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"--angles: angles must be finite, got {text!r}")
     return ChshConfiguration(
         a=PolarizerAxis(vals[0]),
         a_prime=PolarizerAxis(vals[1]),
@@ -207,16 +252,16 @@ def cmd_chsh(args, argv) -> int:
 
     if args.out:
         out = Path(args.out)
-        mpath = _write_manifest(out, "chsh", argv, args.config, seed)
-        report["manifest"] = mpath.name
-        out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        report["manifest"] = _manifest_path(out).name
+        _write_text(out, json.dumps(report, indent=2) + "\n")
+        _write_manifest(out, "chsh", argv, args.config, seed)
     return EXIT_OK
 
 
 def cmd_scan(args, argv) -> int:
     loaded = _load(args)
-    grid_a = _parse_grid(args.grid_a, "--grid-a")
-    grid_b = _parse_grid(args.grid_b, "--grid-b")
+    grid_a = np.deg2rad(_parse_grid(args.grid_a, "--grid-a"))
+    grid_b = np.deg2rad(_parse_grid(args.grid_b, "--grid-b"))
     seed = args.seed if args.seed is not None else loaded.seed
 
     if args.n:
@@ -225,8 +270,8 @@ def cmd_scan(args, argv) -> int:
         scan = angular_scan(loaded.experiment, grid_a, grid_b)
 
     out = Path(args.out)
-    mpath = _write_manifest(out, "scan", argv, args.config, seed if args.n else None)
-    write_scan_csv(out, scan, manifest_name=mpath.name)
+    write_scan_csv(out, scan, manifest_name=_manifest_path(out).name)
+    _write_manifest(out, "scan", argv, args.config, seed if args.n else None)
     print(f"wrote {len(scan)} rows to {out}")
     return EXIT_OK
 
@@ -242,9 +287,9 @@ def cmd_fit(args, argv) -> int:
     doc = report.to_dict()
     if args.out:
         out = Path(args.out)
-        mpath = _write_manifest(out, "fit", argv, None, None)
-        doc["manifest"] = mpath.name
-        out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        doc["manifest"] = _manifest_path(out).name
+        _write_text(out, json.dumps(doc, indent=2) + "\n")
+        _write_manifest(out, "fit", argv, None, None)
     print(
         f"S_hat = {report.s_hat:.6f}  B_hat = {report.b_hat:.6f}  "
         f"residual_rms = {report.residual_rms:.3e}  bell_S = {report.bell_s:.6f}"
@@ -267,28 +312,12 @@ def cmd_hbt(args, argv) -> int:
             "hbt scan needs distinct detector positions to define the baseline direction"
         )
     direction = baseline / length
-
-    parts = args.baseline.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--baseline: expected start:stop:steps, got {args.baseline!r}")
-    try:
-        start, stop = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
-    except ValueError:
-        raise ConfigError(
-            f"--baseline: expected start:stop:steps, got {args.baseline!r}"
-        ) from None
-    if steps < 1:
-        raise ConfigError(f"--baseline: steps must be >= 1, got {steps}")
-    lengths = np.linspace(start, stop, steps)
+    lengths = _parse_grid(args.baseline, "--baseline")
 
     phase_rng = np.random.Generator(np.random.Philox(key=seed)) if args.random_phases else None
 
-    lines = []
     out = Path(args.out)
-    mpath = _write_manifest(out, "hbt", argv, args.config, seed if args.random_phases else None)
-    lines.append(f"# manifest: {mpath.name}")
-    lines.append(",".join(HBT_CSV_COLUMNS))
+    lines = [f"# manifest: {_manifest_path(out).name}", ",".join(HBT_CSV_COLUMNS)]
     for L in lengths:
         geo = geometry.with_detector_b(geometry.detector_a + L * direction)
         if phase_rng is not None:
@@ -301,7 +330,8 @@ def cmd_hbt(args, argv) -> int:
         lines.append(
             ",".join((_fmt(L), _fmt(intensity.total), _fmt(intensity.interference)))
         )
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out, "\n".join(lines) + "\n")
+    _write_manifest(out, "hbt", argv, args.config, seed if args.random_phases else None)
     print(f"wrote {len(lengths)} rows to {out}")
     return EXIT_OK
 
@@ -321,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh = sub.add_parser("chsh", help="four-setting CHSH value, analytic and sampled")
     p_chsh.add_argument("--config", required=True, help="YAML run configuration")
     p_chsh.add_argument("--angles", help="override settings as a:a':b:b' in degrees")
-    p_chsh.add_argument("--n", type=int, help="Monte Carlo coincidences per setting")
-    p_chsh.add_argument("--seed", type=int, help="override the config seed")
+    p_chsh.add_argument("--n", type=_positive_int, help="Monte Carlo coincidences per setting")
+    p_chsh.add_argument("--seed", type=_seed, help="override the config seed")
     p_chsh.add_argument("--out", help="write a JSON report here")
     p_chsh.set_defaults(func=cmd_chsh)
 
@@ -330,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--config", required=True, help="YAML run configuration")
     p_scan.add_argument("--grid-a", required=True, help="start:stop:steps in degrees")
     p_scan.add_argument("--grid-b", required=True, help="start:stop:steps in degrees")
-    p_scan.add_argument("--n", type=int, help="sample this many coincidences per point")
-    p_scan.add_argument("--seed", type=int, help="override the config seed")
+    p_scan.add_argument("--n", type=_positive_int, help="sample this many coincidences per point")
+    p_scan.add_argument("--seed", type=_seed, help="override the config seed")
     p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.set_defaults(func=cmd_scan)
 
@@ -358,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="redraw source phases per row (the interference column is unchanged)",
     )
-    p_hbt.add_argument("--seed", type=int, help="override the config seed")
+    p_hbt.add_argument("--seed", type=_seed, help="override the config seed")
     p_hbt.add_argument("--out", required=True, help="output CSV path")
     p_hbt.set_defaults(func=cmd_hbt)
 

@@ -53,6 +53,8 @@ def _number(section: dict, path: str, key: str, default=None) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label}: must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{label}: must be finite, got {value!r}")
     return float(value)
 
 
@@ -84,7 +86,7 @@ def parse_config(doc: dict) -> LoadedConfig:
         raise ConfigError(f"scenario: must be 'I' or 'II', got {scenario!r}")
 
     bell_kind = doc.get("bell_kind", 1)
-    if bell_kind not in (1, 2):
+    if isinstance(bell_kind, bool) or bell_kind not in (1, 2):
         raise ConfigError(f"bell_kind: must be 1 or 2, got {bell_kind!r}")
 
     fraction = _number(doc, "", "entangled_fraction")

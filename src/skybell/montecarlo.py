@@ -12,24 +12,20 @@ error sqrt((1 - e^2)/n).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .background import OUTCOME_PAIRS, background_outcome_rate
-from .polarization import (
-    ChshConfiguration,
-    PolarizerAxis,
-    bell_state,
-    outcome_distribution,
-)
+from .background import OUTCOME_PAIRS, outcome_rates
+from .polarization import ChshConfiguration, PolarizerAxis
 from .scenarios import (
+    CorrelationModel,
     ExperimentConfig,
     PathAmplitudeSet,
     ScanResult,
-    coincidence_correlator,
-    effective_amplitudes,
+    correlation_model,
 )
 
 #: Fixed chunk size; the chunk decomposition of n depends only on n.
@@ -37,6 +33,9 @@ CHUNK_SIZE = 1 << 18
 
 _MAX_UINT32 = (1 << 32) - 1
 _MAX_UINT64 = (1 << 64) - 1
+
+#: oa * ob for each of the OUTCOME_PAIRS.
+_PRODUCTS = np.array([oa * ob for oa, ob in OUTCOME_PAIRS], dtype=float)
 
 
 def _stream(seed: int, setting_index: int, chunk_index: int) -> np.random.Generator:
@@ -83,21 +82,15 @@ def channel_distributions(
     vector renormalized) so that analytically forbidden outcomes never
     occur in samples.
     """
-    amps = effective_amplitudes(cfg) if amplitudes is None else amplitudes
-    parts = coincidence_correlator(cfg, a, b, amplitudes=amps)  # validates weights
-    w_sig = parts.weight_signal
-    w_bg = parts.weight_background
+    return _distributions(correlation_model(cfg, amplitudes), a.angle, b.angle)
 
-    p_signal = outcome_distribution(bell_state(cfg.bell_kind), a, b)
 
-    if w_bg > 0.0:
-        rates = np.array(
-            [
-                background_outcome_rate(cfg.background, amps, a, b, oa, ob)
-                for oa, ob in OUTCOME_PAIRS
-            ]
-        )
-        p_background = rates / rates.sum()
+def _distributions(model: CorrelationModel, ta: float, tb: float) -> ChannelDistributions:
+    """Channel distributions at one setting pair, read off the model."""
+    _, e_signal, _ = model.correlators(ta, tb)
+    p_signal = (1.0 + _PRODUCTS * e_signal[0, 0]) / 4.0
+    if model.w_background > 0.0:
+        p_background = outcome_rates(model.k, ta, tb) / model.k[0, 0]
     else:
         p_background = np.zeros(4)
 
@@ -108,7 +101,7 @@ def channel_distributions(
         return p / s if s > 0.0 else p
 
     return ChannelDistributions(
-        p_signal_channel=w_sig / (w_sig + w_bg),
+        p_signal_channel=model.w_signal / (model.w_signal + model.w_background),
         signal=truncate(p_signal),
         background=truncate(p_background),
     )
@@ -175,10 +168,21 @@ def sample_coincidences(
     decomposition of n and the per-chunk stream keys make the aggregate
     counts independent of how the chunks are scheduled.
     """
+    dists = channel_distributions(cfg, a, b)
+    return _sample(dists, (a.angle, b.angle), n, seed, setting_index)
+
+
+def _sample(
+    dists: ChannelDistributions,
+    settings: tuple[float, float],
+    n: int,
+    seed: int,
+    setting_index: int,
+) -> SampleBatch:
+    """Draw n coincidences from fixed channel distributions."""
     n = int(n)
     if n <= 0:
         raise ValueError(f"sample size must be positive, got {n}")
-    dists = channel_distributions(cfg, a, b)
     counts = np.zeros(4, dtype=np.int64)
     for chunk_index, m in enumerate(_chunk_sizes(n)):
         counts += _chunk_counts(dists, m, seed, setting_index, chunk_index)
@@ -187,7 +191,7 @@ def sample_coincidences(
         n_pm=int(counts[1]),
         n_mp=int(counts[2]),
         n_mm=int(counts[3]),
-        settings=(a.angle, b.angle),
+        settings=settings,
         seed_record=f"philox seed={seed} setting={setting_index}",
     )
 
@@ -250,36 +254,12 @@ def sample_scan(
     coincidences per grid point, setting index = row index); the
     decomposition columns keep their analytic values for diagnostics.
     """
-    grid_a = [float(x) for x in grid_a]
-    grid_b = [float(x) for x in grid_b]
-    if not grid_a or not grid_b:
-        raise ValueError("scan grids must be non-empty")
-    amps = effective_amplitudes(cfg)
-    rows = {name: [] for name in ("ta", "tb", "e", "es", "eb", "ws", "wb")}
-    row_index = 0
-    for ta in grid_a:
-        axis_a = PolarizerAxis(ta)
-        for tb in grid_b:
-            axis_b = PolarizerAxis(tb)
-            parts = coincidence_correlator(cfg, axis_a, axis_b, amplitudes=amps)
-            batch = sample_coincidences(
-                cfg, axis_a, axis_b, n_per_point, seed, setting_index=row_index
-            )
-            est = estimate_correlator(batch)
-            rows["ta"].append(ta)
-            rows["tb"].append(tb)
-            rows["e"].append(est.e_hat)
-            rows["es"].append(parts.e_signal)
-            rows["eb"].append(parts.e_background)
-            rows["ws"].append(parts.weight_signal)
-            rows["wb"].append(parts.weight_background)
-            row_index += 1
-    return ScanResult(
-        theta_a=np.array(rows["ta"]),
-        theta_b=np.array(rows["tb"]),
-        e=np.array(rows["e"]),
-        e_signal=np.array(rows["es"]),
-        e_background=np.array(rows["eb"]),
-        w_signal=np.array(rows["ws"]),
-        w_background=np.array(rows["wb"]),
-    )
+    model = correlation_model(cfg)
+    scan = model.scan(grid_a, grid_b)
+    e_hat = [
+        estimate_correlator(
+            _sample(_distributions(model, ta, tb), (ta, tb), n_per_point, seed, row)
+        ).e_hat
+        for row, (ta, tb) in enumerate(zip(scan.theta_a, scan.theta_b))
+    ]
+    return dataclasses.replace(scan, e=np.array(e_hat))

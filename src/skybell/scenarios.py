@@ -23,22 +23,15 @@ shape.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .background import (
-    BackgroundSpec,
-    background_correlator,
-    background_rate_total,
-)
+from .background import BackgroundSpec, correlation_tensor, tensor_correlator
 from .errors import DegenerateDesignError
-from .polarization import (
-    TSIRELSON_BOUND,
-    ChshConfiguration,
-    PolarizerAxis,
-)
+from .polarization import TSIRELSON_BOUND, ChshConfiguration, PolarizerAxis
 from .propagation import (
     NORMALIZATIONS,
     Geometry,
@@ -130,32 +123,14 @@ def coincidence_correlator(
     feeding externally masked or synthetic amplitude sets); when given,
     the scenario mask is not re-applied.
     """
-    amps = effective_amplitudes(cfg) if amplitudes is None else amplitudes
-    f = cfg.entangled_fraction
-
-    sign = 1.0 if cfg.bell_kind == 1 else -1.0
-    e_sig = sign * math.cos(2.0 * (a.angle - b.angle))
-    w_sig = f * entangled_pair_weight(amps)
-
-    w_bg_raw = background_rate_total(cfg.background, amps)
-    w_bg = (1.0 - f) * w_bg_raw
-    e_bg = (
-        background_correlator(cfg.background, amps, a, b) if w_bg > 0.0 else 0.0
-    )
-
-    total = w_sig + w_bg
-    if total <= 0.0:
-        raise ValueError(
-            "total coincidence weight is zero: no entangled rate and no "
-            "background rate at these settings"
-        )
-    e = (w_sig * e_sig + w_bg * e_bg) / total
+    model = correlation_model(cfg, amplitudes)
+    e, e_sig, e_bg = model.correlators(a.angle, b.angle)
     return CorrelatorParts(
-        e=e,
-        e_signal=e_sig,
-        e_background=e_bg,
-        weight_signal=w_sig,
-        weight_background=w_bg,
+        e=float(e[0, 0]),
+        e_signal=float(e_sig[0, 0]),
+        e_background=float(e_bg[0, 0]),
+        weight_signal=model.w_signal,
+        weight_background=model.w_background,
     )
 
 
@@ -176,41 +151,96 @@ class ScanResult:
     w_background: np.ndarray
 
     def __post_init__(self):
-        arrays = [
-            np.asarray(getattr(self, name), dtype=float)
-            for name in (
-                "theta_a",
-                "theta_b",
-                "e",
-                "e_signal",
-                "e_background",
-                "w_signal",
-                "w_background",
-            )
-        ]
+        names = [field.name for field in dataclasses.fields(self)]
+        arrays = [np.asarray(getattr(self, name), dtype=float) for name in names]
         n = arrays[0].shape[0]
         if any(arr.shape != (n,) for arr in arrays):
             raise ValueError("scan columns must be 1-D arrays of equal length")
         if n == 0:
             raise ValueError("scan must contain at least one row")
-        if np.max(np.abs(arrays[2])) > 1.0 + 1e-9:
-            raise ValueError("correlator column leaves [-1, 1]")
-        for name, arr in zip(
-            (
-                "theta_a",
-                "theta_b",
-                "e",
-                "e_signal",
-                "e_background",
-                "w_signal",
-                "w_background",
-            ),
-            arrays,
-        ):
+        for name, arr in zip(names, arrays):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"scan column {name} holds a non-finite value")
             setattr(self, name, arr)
+        if np.max(np.abs(self.e)) > 1.0 + 1e-9:
+            raise ValueError("correlator column leaves [-1, 1]")
 
     def __len__(self) -> int:
         return int(self.theta_a.shape[0])
+
+
+@dataclass(frozen=True, eq=False)
+class CorrelationModel:
+    """Both channels of one config in the (cos 2t, sin 2t) polarizer basis.
+
+    w_signal = f w_sig and w_background = (1 - f) w are the rate weights
+    of the mixture.  The entangled channel has no marginals and the
+    correlation tensor sign * I, so its correlator is
+    sign * cos 2(t_a - t_b); ``k`` is the background's tensor from
+    :func:`skybell.background.correlation_tensor`.  Build one per config
+    with :func:`correlation_model`; nothing here depends on the settings.
+    """
+
+    w_signal: float
+    w_background: float
+    sign: float
+    k: np.ndarray
+
+    def correlators(self, theta_a, theta_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(E, E_signal, E_background) over the outer product of two angle grids."""
+        e_signal = np.atleast_2d(self.sign * np.cos(2.0 * np.subtract.outer(theta_a, theta_b)))
+        if self.w_background > 0.0:
+            e_background = tensor_correlator(self.k, theta_a, theta_b)
+        else:
+            e_background = np.zeros_like(e_signal)
+        e = (self.w_signal * e_signal + self.w_background * e_background) / (
+            self.w_signal + self.w_background
+        )
+        return e, e_signal, e_background
+
+    def scan(self, grid_a, grid_b) -> ScanResult:
+        """The analytic scan over two angle grids, in row-major order."""
+        grid_a = np.array([float(x) for x in grid_a])
+        grid_b = np.array([float(x) for x in grid_b])
+        if not grid_a.size or not grid_b.size:
+            raise ValueError("scan grids must be non-empty")
+        e, e_signal, e_background = self.correlators(grid_a, grid_b)
+        theta_a, theta_b = np.meshgrid(grid_a, grid_b, indexing="ij")
+        return ScanResult(
+            theta_a=theta_a.ravel(),
+            theta_b=theta_b.ravel(),
+            e=e.ravel(),
+            e_signal=e_signal.ravel(),
+            e_background=e_background.ravel(),
+            w_signal=np.full(e.size, self.w_signal),
+            w_background=np.full(e.size, self.w_background),
+        )
+
+
+def correlation_model(
+    cfg: ExperimentConfig, amplitudes: PathAmplitudeSet | None = None
+) -> CorrelationModel:
+    """Build the config's model; raises ValueError when both rates vanish.
+
+    ``amplitudes`` overrides the geometry-derived legs, as in
+    :func:`coincidence_correlator`.
+    """
+    amps = effective_amplitudes(cfg) if amplitudes is None else amplitudes
+    f = cfg.entangled_fraction
+    k = correlation_tensor(cfg.background, amps)
+    w_signal = f * entangled_pair_weight(amps)
+    w_background = (1.0 - f) * max(float(k[0, 0]), 0.0)
+    if w_signal + w_background <= 0.0:
+        raise ValueError(
+            "total coincidence weight is zero: no entangled rate and no "
+            "background rate at these settings"
+        )
+    return CorrelationModel(
+        w_signal=w_signal,
+        w_background=w_background,
+        sign=1.0 if cfg.bell_kind == 1 else -1.0,
+        k=k,
+    )
 
 
 def angular_scan(cfg: ExperimentConfig, grid_a, grid_b) -> ScanResult:
@@ -220,32 +250,7 @@ def angular_scan(cfg: ExperimentConfig, grid_a, grid_b) -> ScanResult:
     radians; the result has len(grid_a) * len(grid_b) rows in row-major
     order and is deterministic (no sampling).
     """
-    grid_a = [float(x) for x in grid_a]
-    grid_b = [float(x) for x in grid_b]
-    if not grid_a or not grid_b:
-        raise ValueError("scan grids must be non-empty")
-    amps = effective_amplitudes(cfg)
-    rows = {name: [] for name in ("ta", "tb", "e", "es", "eb", "ws", "wb")}
-    for ta in grid_a:
-        axis_a = PolarizerAxis(ta)
-        for tb in grid_b:
-            parts = coincidence_correlator(cfg, axis_a, PolarizerAxis(tb), amplitudes=amps)
-            rows["ta"].append(ta)
-            rows["tb"].append(tb)
-            rows["e"].append(parts.e)
-            rows["es"].append(parts.e_signal)
-            rows["eb"].append(parts.e_background)
-            rows["ws"].append(parts.weight_signal)
-            rows["wb"].append(parts.weight_background)
-    return ScanResult(
-        theta_a=np.array(rows["ta"]),
-        theta_b=np.array(rows["tb"]),
-        e=np.array(rows["e"]),
-        e_signal=np.array(rows["es"]),
-        e_background=np.array(rows["eb"]),
-        w_signal=np.array(rows["ws"]),
-        w_background=np.array(rows["wb"]),
-    )
+    return correlation_model(cfg).scan(grid_a, grid_b)
 
 
 def null_background_axes(spec: BackgroundSpec) -> tuple[float, float]:
@@ -359,9 +364,7 @@ def chsh_with_background(cfg: ExperimentConfig, chsh: ChshConfiguration) -> floa
     Reaches f * 2*sqrt(2) at the saturating settings when the background
     correlator vanishes there and the two channel rates are equal.
     """
-    return (
-        coincidence_correlator(cfg, chsh.a, chsh.b).e
-        + coincidence_correlator(cfg, chsh.a_prime, chsh.b).e
-        + coincidence_correlator(cfg, chsh.a, chsh.b_prime).e
-        - coincidence_correlator(cfg, chsh.a_prime, chsh.b_prime).e
+    e, _, _ = correlation_model(cfg).correlators(
+        [chsh.a.angle, chsh.a_prime.angle], [chsh.b.angle, chsh.b_prime.angle]
     )
+    return float(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1])

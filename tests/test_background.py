@@ -12,11 +12,10 @@ from skybell import (
     PathAmplitudeSet,
     background_correlator,
     background_outcome_rate,
-    background_probability,
     background_rate_total,
     effective_density_matrix,
     interference_trace,
-    joint_outcome_probability,
+    outcome_projector,
     path_amplitudes,
     polarizer_trace,
     projector_from_axis,
@@ -159,8 +158,11 @@ def test_masked_rate_is_a_separable_product():
         rho1, rho2 = spec.densities()
         pta = polarizer_trace(projector_from_axis(a), rho1)
         ptb = polarizer_trace(projector_from_axis(b), rho2)
-        rate = background_probability(spec, MASKED_UNIT, a, b)
-        assert abs(rate - pta * ptb) < 1e-12
+        signed = sum(
+            oa * ob * background_outcome_rate(spec, MASKED_UNIT, a, b, oa, ob)
+            for oa, ob in OUTCOME_PAIRS
+        )
+        assert abs(signed - pta * ptb) < 1e-12
         assert abs(background_correlator(spec, MASKED_UNIT, a, b) - pta * ptb) < 1e-12
 
 
@@ -225,7 +227,8 @@ def test_signed_rate_equals_outcome_rate_combination():
             oa * ob * background_outcome_rate(spec, amps, a, b, oa, ob)
             for oa, ob in OUTCOME_PAIRS
         )
-        assert abs(signed - background_probability(spec, amps, a, b)) < 1e-12
+        total = background_rate_total(spec, amps)
+        assert abs(signed - total * background_correlator(spec, amps, a, b)) < 1e-12
 
 
 def test_signed_rate_goes_negative_at_crossed_settings():
@@ -234,7 +237,8 @@ def test_signed_rate_goes_negative_at_crossed_settings():
     spec = make_spec(alpha1=10.0, alpha2=10.0)
     a = PolarizerAxis(0.0)
     b = PolarizerAxis(math.pi / 2)
-    assert background_probability(spec, MASKED_UNIT, a, b) < -0.5
+    # unit masked legs give unit total rate, so the correlator is the signed rate
+    assert background_correlator(spec, MASKED_UNIT, a, b) < -0.5
     for oa, ob in OUTCOME_PAIRS:
         assert background_outcome_rate(spec, MASKED_UNIT, a, b, oa, ob) >= 0.0
 
@@ -305,10 +309,25 @@ def test_corrupt_amplitudes_trip_the_consistency_check():
     ):
         object.__setattr__(bad, name, val)
     with pytest.raises(ConsistencyError):
-        background_probability(bad, amps, PolarizerAxis(0.2), PolarizerAxis(0.9))
+        background_correlator(bad, amps, PolarizerAxis(0.2), PolarizerAxis(0.9))
 
 
 # ---------------------------------------------------------------- density route
+
+
+def four_term_rate(spec, amps, ma, mb):
+    """The weighted pairing rate written out term by term, without rho_eff."""
+    rhos = [rho.rho for rho in spec.densities()]
+    d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))
+    total = 0.0
+    for w, i, j in spec.pairings():
+        dia, dib = d[i]
+        dja, djb = d[j]
+        direct = np.trace(ma @ rhos[i]).real * np.trace(mb @ rhos[j]).real * abs(dia * djb) ** 2
+        swapped = np.trace(ma @ rhos[j]).real * np.trace(mb @ rhos[i]).real * abs(dja * dib) ** 2
+        cross = np.trace(ma @ rhos[i] @ mb @ rhos[j]) * dia * djb * np.conj(dja * dib)
+        total += w * (direct + swapped + 2.0 * cross.real)
+    return total
 
 
 def test_effective_density_matrix_reproduces_rates():
@@ -325,18 +344,18 @@ def test_effective_density_matrix_reproduces_rates():
         amps = random_amps(rng)
         m = effective_density_matrix(spec, amps)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
-        total = background_rate_total(spec, amps)
+        total = four_term_rate(spec, amps, np.eye(2), np.eye(2))
         assert abs(float(np.trace(m).real) - total) < 1e-12
+        assert abs(background_rate_total(spec, amps) - total) < 1e-12
         assert float(np.linalg.eigvalsh(m).min()) > -1e-10
 
-        if total < 1e-9:
-            continue
         a = PolarizerAxis(rng.uniform(0.0, math.pi))
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
         for oa, ob in OUTCOME_PAIRS:
-            via_rho = joint_outcome_probability(m / total, a, b, oa, ob)
-            direct = background_outcome_rate(spec, amps, a, b, oa, ob) / total
-            assert abs(via_rho - direct) < 1e-10
+            ma, mb = outcome_projector(a, oa), outcome_projector(b, ob)
+            expected = four_term_rate(spec, amps, ma, mb)
+            assert abs(float(np.trace(np.kron(ma, mb) @ m).real) - expected) < 1e-12
+            assert abs(background_outcome_rate(spec, amps, a, b, oa, ob) - expected) < 1e-12
 
 
 def test_masked_effective_density_is_the_tensor_product():

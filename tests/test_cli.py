@@ -161,6 +161,11 @@ def test_scan_rejects_bad_grid(config_path, tmp_path, capsys):
     code = run(["scan", "--config", str(config_path), "--grid-a", "0:90",
                 "--grid-b", "0:90:4", "--out", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
+    code = run(["scan", "--config", str(config_path), "--grid-a", "0:nan:4",
+                "--grid-b", "0:90:4", "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    assert "--grid-a" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 # ---------------------------------------------------------------- fit
@@ -228,6 +233,23 @@ def test_fit_rejects_foreign_csv(tmp_path, capsys):
     assert run(["fit", str(missing), "--beta1", "0", "--beta2", "0"]) == EXIT_IO
 
 
+def test_fit_rejects_non_finite_scan_values(config_path, tmp_path, capsys):
+    scan_path = tmp_path / "scan.csv"
+    run(["scan", "--config", str(config_path), "--grid-a", "0:135:4",
+         "--grid-b", "0:135:4", "--out", str(scan_path)])
+    lines = scan_path.read_text().splitlines()
+    row = lines[4].split(",")
+    row[2] = "nan"
+    lines[4] = ",".join(row)
+    scan_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["fit", str(scan_path), "--beta1", "0", "--beta2", "0"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "S_hat" not in captured.out
+    assert str(scan_path) in captured.err
+    assert "data row 3, column E" in captured.err
+
+
 # ---------------------------------------------------------------- hbt
 
 
@@ -270,6 +292,55 @@ def test_hbt_random_phases_change_nothing(config_path, tmp_path):
 
 
 # ---------------------------------------------------------------- misc
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--seed", "-1"], "--seed"),
+        (["--seed", str(2**64)], "--seed"),
+        (["--n", "-5"], "--n"),
+        (["--n", "0"], "--n"),
+        (["--n", "many"], "--n"),
+        (["--angles", "0:inf:22.5:157.5"], "--angles"),
+    ],
+)
+def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
+    assert run(["chsh", "--config", str(config_path), *extra]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("bell_kind", True), ("chsh.a_deg", math.inf), ("background.alpha1", math.nan)],
+)
+def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
+    path = write_variant(tmp_path, "bad.yaml", **{field: value})
+    assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chsh", "--config", "{config}"],
+        ["scan", "--config", "{config}", "--grid-a", "0:90:2", "--grid-b", "0:90:2"],
+        ["fit", "{scan}", "--beta1", "0", "--beta2", "0"],
+        ["hbt", "--config", "{config}", "--baseline", "0:10:3"],
+    ],
+)
+def test_failed_output_write_leaves_no_manifest(config_path, tmp_path, argv):
+    scan_path = tmp_path / "scan.csv"
+    assert run(["scan", "--config", str(config_path), "--grid-a", "0:135:4",
+                "--grid-b", "0:135:4", "--out", str(scan_path)]) == EXIT_OK
+    out = tmp_path / "taken"
+    out.mkdir()  # a directory cannot be replaced by the output file
+    argv = [a.format(config=config_path, scan=scan_path) for a in argv]
+    assert run(argv + ["--out", str(out)]) == EXIT_IO
+    assert not (tmp_path / "taken.manifest.json").exists()
+    assert not (tmp_path / "taken.tmp").exists()
 
 
 def test_usage_errors_exit_two(capsys):

@@ -194,6 +194,16 @@ def test_scan_result_validation():
                    e_background=z, w_signal=z, w_background=z)
 
 
+@pytest.mark.parametrize("column", ["theta_a", "e", "w_background"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scan_result_rejects_non_finite_values(column, value):
+    cols = {name: np.zeros(3) for name in
+            ("theta_a", "theta_b", "e", "e_signal", "e_background", "w_signal", "w_background")}
+    cols[column][1] = value
+    with pytest.raises(ValueError, match=column):
+        ScanResult(**cols)
+
+
 def test_null_background_axes():
     cfg = make_config(axis1=0.0, axis2=math.pi / 3)
     n1, n2 = null_background_axes(cfg.background)
