@@ -57,6 +57,9 @@ _NEGATIVE_TOL = -1e-12
 #: The four +-1 outcome pairs, in fixed (A, B) order.
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
+#: Four weights divided by their sum add up to one within about 2 eps.
+_WEIGHT_SUM_TOL = 4.0 * np.finfo(float).eps
+
 #: I, sigma_z, sigma_x: the polarizer observable at angle t is
 #: cos 2t sigma_z + sin 2t sigma_x.
 _BASIS = np.array(
@@ -100,6 +103,10 @@ class BackgroundSpec:
         total = sum(weights)
         if total <= 0.0:
             raise ValueError("pairing weights must have a positive sum")
+        # weights that sum to one up to rounding are kept, which makes the
+        # renormalization idempotent: dividing again would move them by an ulp
+        if abs(total - 1.0) <= _WEIGHT_SUM_TOL:
+            total = 1.0
         for name, v in zip(("w12", "w21", "w11", "w22"), weights):
             object.__setattr__(self, name, v / total)
 

@@ -5,6 +5,16 @@ Every output file is paired with a JSON run manifest (same path plus
 files carry a leading "# manifest: ..." comment pointing back at it.
 Floats are written with full repr precision so files round-trip exactly.
 
+Every file is written as a fresh file by ``_write_text``: the text goes to
+a new ``<name>.tmp``, the old file is unlinked and the temp file is renamed
+onto the free name.  Nothing is truncated or renamed over in place, because
+on ext4 (default ``auto_da_alloc``) both force a writeback that blocks the
+process for tens of milliseconds per file.  A subcommand removes the
+stale manifest of its output first and writes the new one last, so a
+manifest never lists a file that was not written.  Nothing calls fsync:
+the files are not promised to survive a power loss, and a reader racing
+a re-run may briefly find no file.
+
 Exit codes: 0 success, 2 config/usage error, 3 numerical or degeneracy
 error, 4 I/O error.
 """
@@ -12,6 +22,7 @@ error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -67,32 +78,46 @@ class RunManifest:
     def write(self, path: Path) -> None:
         doc = dataclasses.asdict(self)
         doc["created_utc"] = datetime.now(timezone.utc).isoformat()
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
 
-def _write_manifest(out_path: Path, command: str, argv, config_path, seed) -> None:
+@contextlib.contextmanager
+def _manifested(out_path: Path, command: str, argv, config_path, seed):
+    """Around the write of ``out_path``: remove its stale manifest, then write a new one.
+
+    The old manifest is gone before the output is replaced, and the new one
+    is written only if the body returns, so no failure in between leaves a
+    manifest that lists a file that was not written.
+    """
+    manifest = _manifest_path(out_path)
+    manifest.unlink(missing_ok=True)
+    yield
     RunManifest(
         command=command,
         argv=list(argv),
         config_path=str(config_path) if config_path else None,
         seed=seed,
         outputs=[str(out_path)],
-    ).write(_manifest_path(out_path))
+    ).write(manifest)
 
 
 def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a sibling temp file and a rename.
+    """Write ``text`` to ``path`` as a fresh file, never over the old one in place.
 
+    A stale ``<name>.tmp`` is removed, the text goes to a new one, the old
+    ``path`` is unlinked and the temp file is renamed onto the free name.
     A failed write leaves neither a partial ``path`` nor the temp file.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
+        tmp.unlink(missing_ok=True)
         tmp.write_text(text, encoding="utf-8")
-        tmp.replace(path)
+        path.unlink(missing_ok=True)
+        tmp.rename(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -209,6 +234,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite real number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_angles(text: str) -> ChshConfiguration:
     parts = text.split(":")
     if len(parts) != 4:
@@ -253,8 +289,8 @@ def cmd_chsh(args, argv) -> int:
     if args.out:
         out = Path(args.out)
         report["manifest"] = _manifest_path(out).name
-        _write_text(out, json.dumps(report, indent=2) + "\n")
-        _write_manifest(out, "chsh", argv, args.config, seed)
+        with _manifested(out, "chsh", argv, args.config, seed):
+            _write_text(out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -270,8 +306,8 @@ def cmd_scan(args, argv) -> int:
         scan = angular_scan(loaded.experiment, grid_a, grid_b)
 
     out = Path(args.out)
-    write_scan_csv(out, scan, manifest_name=_manifest_path(out).name)
-    _write_manifest(out, "scan", argv, args.config, seed if args.n else None)
+    with _manifested(out, "scan", argv, args.config, seed if args.n else None):
+        write_scan_csv(out, scan, manifest_name=_manifest_path(out).name)
     print(f"wrote {len(scan)} rows to {out}")
     return EXIT_OK
 
@@ -288,8 +324,8 @@ def cmd_fit(args, argv) -> int:
     if args.out:
         out = Path(args.out)
         doc["manifest"] = _manifest_path(out).name
-        _write_text(out, json.dumps(doc, indent=2) + "\n")
-        _write_manifest(out, "fit", argv, None, None)
+        with _manifested(out, "fit", argv, None, None):
+            _write_text(out, json.dumps(doc, indent=2) + "\n")
     print(
         f"S_hat = {report.s_hat:.6f}  B_hat = {report.b_hat:.6f}  "
         f"residual_rms = {report.residual_rms:.3e}  bell_S = {report.bell_s:.6f}"
@@ -330,8 +366,8 @@ def cmd_hbt(args, argv) -> int:
         lines.append(
             ",".join((_fmt(L), _fmt(intensity.total), _fmt(intensity.interference)))
         )
-    _write_text(out, "\n".join(lines) + "\n")
-    _write_manifest(out, "hbt", argv, args.config, seed if args.random_phases else None)
+    with _manifested(out, "hbt", argv, args.config, seed if args.random_phases else None):
+        _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lengths)} rows to {out}")
     return EXIT_OK
 
@@ -367,8 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="least-squares signal extraction from a scan CSV")
     p_fit.add_argument("scan_csv", help="scan CSV produced by the scan subcommand")
-    p_fit.add_argument("--beta1", type=float, required=True, help="background axis 1 (degrees)")
-    p_fit.add_argument("--beta2", type=float, required=True, help="background axis 2 (degrees)")
+    p_fit.add_argument(
+        "--beta1", type=_finite_float, required=True, help="background axis 1 (degrees)"
+    )
+    p_fit.add_argument(
+        "--beta2", type=_finite_float, required=True, help="background axis 2 (degrees)"
+    )
     p_fit.add_argument(
         "--background-basis",
         choices=("product", "scan"),

@@ -44,6 +44,11 @@ def _section(doc: dict, name: str, required: bool = True) -> dict:
     return value
 
 
+def _is_number(value) -> bool:
+    # YAML booleans are ints to Python; a config number is never one
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(section: dict, path: str, key: str, default=None) -> float:
     label = f"{path}.{key}" if path else key
     if key not in section:
@@ -51,7 +56,7 @@ def _number(section: dict, path: str, key: str, default=None) -> float:
             raise ConfigError(f"{label}: missing required value")
         return float(default)
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{label}: must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{label}: must be finite, got {value!r}")
@@ -62,12 +67,9 @@ def _point(section: dict, path: str, key: str) -> np.ndarray:
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required value")
     value = section[key]
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ConfigError(f"{path}.{key}: must be a list of 3 numbers")
-    try:
-        return np.array([float(v) for v in value])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}.{key}: must be a list of 3 numbers") from None
+    if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_is_number, value))):
+        raise ConfigError(f"{path}.{key}: must be a list of 3 numbers, got {value!r}")
+    return np.array(value, dtype=float)
 
 
 def parse_config(doc: dict) -> LoadedConfig:
@@ -174,8 +176,28 @@ def load_config(path) -> LoadedConfig:
     return parse_config(doc)
 
 
+def _degrees(angle: float) -> float:
+    """The degrees of an axis angle, chosen to load back as exactly ``angle``.
+
+    ``math.degrees`` alone is one ulp off for about one angle in twenty read
+    from a file; a neighbouring float then converts back exactly.  An angle
+    that no float in degrees reaches (one normalized into [0, pi) on load)
+    keeps ``math.degrees``.
+    """
+    d = math.degrees(angle)
+    for candidate in (d, math.nextafter(d, math.inf), math.nextafter(d, -math.inf)):
+        if PolarizerAxis(math.radians(candidate)).angle == angle:
+            return candidate
+    return d
+
+
 def dump_config(loaded: LoadedConfig) -> str:
-    """Serialize a configuration back to YAML (angles in degrees)."""
+    """Serialize a configuration back to YAML (angles in degrees).
+
+    A configuration read by ``parse_config`` with its angles in [0, 180)
+    degrees loads back from this text exactly; any other one does after
+    one more pass.
+    """
     exp = loaded.experiment
     bg = exp.background
     geo = exp.geometry
@@ -193,17 +215,17 @@ def dump_config(loaded: LoadedConfig) -> str:
         },
         "propagation": {"normalization": exp.propagator_normalization},
         "background": {
-            "axis1_deg": math.degrees(bg.axis1.angle),
-            "axis2_deg": math.degrees(bg.axis2.angle),
+            "axis1_deg": _degrees(bg.axis1.angle),
+            "axis2_deg": _degrees(bg.axis2.angle),
             "alpha1": bg.alpha1,
             "alpha2": bg.alpha2,
             "weights": {"w12": bg.w12, "w21": bg.w21, "w11": bg.w11, "w22": bg.w22},
         },
         "chsh": {
-            "a_deg": math.degrees(loaded.chsh.a.angle),
-            "a_prime_deg": math.degrees(loaded.chsh.a_prime.angle),
-            "b_deg": math.degrees(loaded.chsh.b.angle),
-            "b_prime_deg": math.degrees(loaded.chsh.b_prime.angle),
+            "a_deg": _degrees(loaded.chsh.a.angle),
+            "a_prime_deg": _degrees(loaded.chsh.a_prime.angle),
+            "b_deg": _degrees(loaded.chsh.b.angle),
+            "b_prime_deg": _degrees(loaded.chsh.b_prime.angle),
         },
         "rng": {"seed": loaded.seed},
     }

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,35 @@ def config_path(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text(dump_config(default_config()), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def scan_csv(config_path, tmp_path):
+    path = tmp_path / "input_scan.csv"
+    assert run(["scan", "--config", str(config_path), "--grid-a", "0:135:4",
+                "--grid-b", "0:135:4", "--out", str(path)]) == EXIT_OK
+    return path
+
+
+# every subcommand, without --out; {config} and {scan} are filled in per test
+SUBCOMMANDS = [
+    ["chsh", "--config", "{config}"],
+    ["scan", "--config", "{config}", "--grid-a", "0:90:2", "--grid-b", "0:90:2"],
+    ["fit", "{scan}", "--beta1", "0", "--beta2", "0"],
+    ["hbt", "--config", "{config}", "--baseline", "0:10:3"],
+]
+
+# the same subcommands run again with other arguments, so the output changes
+RERUN_SUBCOMMANDS = [
+    ["chsh", "--config", "{config}", "--angles", "0:30:10:70"],
+    ["scan", "--config", "{config}", "--grid-a", "0:90:3", "--grid-b", "10:80:2"],
+    ["fit", "{scan}", "--beta1", "10", "--beta2", "5"],
+    ["hbt", "--config", "{config}", "--baseline", "0:20:5"],
+]
+
+
+def fill(argv, config, scan):
+    return [a.format(config=config, scan=scan) for a in argv]
 
 
 def write_variant(tmp_path, name, **updates):
@@ -250,6 +281,18 @@ def test_fit_rejects_non_finite_scan_values(config_path, tmp_path, capsys):
     assert "data row 3, column E" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--beta1", "nan"), ("--beta1", "inf"), ("--beta2", "1e999")]
+)
+def test_fit_rejects_non_finite_beta(scan_csv, capsys, flag, value):
+    betas = {"--beta1": "0", "--beta2": "0", flag: value}
+    argv = ["fit", str(scan_csv)] + [item for pair in betas.items() for item in pair]
+    assert run(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{flag}: must be a finite number" in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------- hbt
 
 
@@ -314,7 +357,13 @@ def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("bell_kind", True), ("chsh.a_deg", math.inf), ("background.alpha1", math.nan)],
+    [
+        ("bell_kind", True),
+        ("chsh.a_deg", math.inf),
+        ("background.alpha1", math.nan),
+        ("geometry.source1", [True, 0.0, 1000.0]),
+        ("geometry.detector_a", ["-1", 0.0, 0.0]),
+    ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
     path = write_variant(tmp_path, "bad.yaml", **{field: value})
@@ -322,25 +371,78 @@ def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["chsh", "--config", "{config}"],
-        ["scan", "--config", "{config}", "--grid-a", "0:90:2", "--grid-b", "0:90:2"],
-        ["fit", "{scan}", "--beta1", "0", "--beta2", "0"],
-        ["hbt", "--config", "{config}", "--baseline", "0:10:3"],
-    ],
-)
-def test_failed_output_write_leaves_no_manifest(config_path, tmp_path, argv):
-    scan_path = tmp_path / "scan.csv"
-    assert run(["scan", "--config", str(config_path), "--grid-a", "0:135:4",
-                "--grid-b", "0:135:4", "--out", str(scan_path)]) == EXIT_OK
+@pytest.mark.parametrize("argv", SUBCOMMANDS)
+def test_failed_output_write_leaves_no_manifest(config_path, scan_csv, tmp_path, argv):
     out = tmp_path / "taken"
     out.mkdir()  # a directory cannot be replaced by the output file
-    argv = [a.format(config=config_path, scan=scan_path) for a in argv]
-    assert run(argv + ["--out", str(out)]) == EXIT_IO
+    assert run(fill(argv, config_path, scan_csv) + ["--out", str(out)]) == EXIT_IO
     assert not (tmp_path / "taken.manifest.json").exists()
     assert not (tmp_path / "taken.tmp").exists()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    zip(SUBCOMMANDS, RERUN_SUBCOMMANDS),
+    ids=[argv[0] for argv in SUBCOMMANDS],
+)
+def test_rerun_replaces_output_and_manifest_with_fresh_files(
+    config_path, scan_csv, tmp_path, first, second
+):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "out"
+    first, second = (fill(argv, config_path, scan_csv) + ["--out", str(out)]
+                     for argv in (first, second))
+    manifest_path = runs / "out.manifest.json"
+    assert run(first) == EXIT_OK
+    old_bytes = [out.read_bytes(), manifest_path.read_bytes()]
+
+    # held open, the old files keep their inodes and show any write into them
+    with open(out, "rb") as old_out, open(manifest_path, "rb") as old_manifest:
+        assert run(second) == EXIT_OK
+        for old, path, before in zip((old_out, old_manifest), (out, manifest_path), old_bytes):
+            assert os.fstat(old.fileno()).st_ino != path.stat().st_ino
+            assert old.read() == before
+    fresh = tmp_path / "fresh" / "out"
+    fresh.parent.mkdir()
+    assert run(second[:-1] + [str(fresh)]) == EXIT_OK
+    assert out.read_bytes() == fresh.read_bytes() != old_bytes[0]
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["argv"] == second
+    assert manifest["outputs"] == [str(out)] and out.exists()
+    assert sorted(p.name for p in runs.iterdir()) == ["out", "out.manifest.json"]
+
+
+def test_stale_temp_files_are_replaced_not_written_through(config_path, tmp_path):
+    out = tmp_path / "scan.csv"
+    keep = tmp_path / "keep.txt"
+    keep.write_text("keep\n", encoding="utf-8")
+    # a killed run's temp file that shares its inode with an unrelated file
+    os.link(keep, tmp_path / "scan.csv.tmp")
+    (tmp_path / "scan.csv.manifest.json.tmp").write_text("{", encoding="utf-8")
+    assert run(["scan", "--config", str(config_path), "--grid-a", "0:90:2",
+                "--grid-b", "0:90:2", "--out", str(out)]) == EXIT_OK
+    assert keep.read_text(encoding="utf-8") == "keep\n"
+    assert len(read_scan_csv(out)) == 4
+    assert json.loads((tmp_path / "scan.csv.manifest.json").read_text())["command"] == "scan"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_failed_rename_leaves_no_manifest(config_path, scan_csv, tmp_path, monkeypatch, argv):
+    out = tmp_path / "out"
+    argv = fill(argv, config_path, scan_csv) + ["--out", str(out)]
+    assert run(argv) == EXIT_OK  # an earlier run's output and manifest
+
+    def refuse(self, target):
+        raise OSError(f"cannot rename {self} to {target}")
+
+    monkeypatch.setattr(Path, "rename", refuse)
+    assert run(argv) == EXIT_IO
+    # the stale manifest went before the old output, so nothing lists a lost file
+    assert not (tmp_path / "out.manifest.json").exists()
+    assert not out.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_usage_errors_exit_two(capsys):

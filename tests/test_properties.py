@@ -1,10 +1,15 @@
-"""Invariants of the correlation-tensor model over random physical configs."""
+"""Invariants of the correlation-tensor model over random physical configs,
+and exact round trips of the scan CSV and config YAML formats."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import make_config, random_geometry
 
@@ -17,7 +22,9 @@ from skybell import (
     effective_density_matrix,
 )
 from skybell.background import OUTCOME_PAIRS, correlation_tensor, outcome_rates
-from skybell.scenarios import correlation_model
+from skybell.cli import read_scan_csv, write_scan_csv
+from skybell.config import SCHEMA_VERSION, dump_config, parse_config
+from skybell.scenarios import ScanResult, correlation_model
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -82,3 +89,99 @@ def test_chsh_respects_the_spectral_bound(cfg, settings_):
     chsh = ChshConfiguration(*(PolarizerAxis(t) for t in settings_))
     s = chsh_with_background(cfg, chsh)
     assert abs(s) <= math.sqrt(chsh_square_spectral_bound(chsh)) + 1e-12
+
+
+def bits(values):
+    """Floats as hex strings, so equality is bitwise (0.0 and -0.0 differ)."""
+    return [float(v).hex() if isinstance(v, float) else v for v in values]
+
+
+SCAN_FIELDS = ("theta_a", "theta_b", "e", "e_signal", "e_background", "w_signal", "w_background")
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), rows=st.integers(1, 6))
+def test_scan_csv_round_trips_bitwise(data, rows):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    scan = ScanResult(**{
+        name: data.draw(arrays(np.float64, rows, elements=st.floats(-1.0, 1.0) if name == "e"
+                               else finite))
+        for name in SCAN_FIELDS
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        write_scan_csv(path, scan, manifest_name="scan.csv.manifest.json")
+        back = read_scan_csv(path)
+    for name in SCAN_FIELDS:
+        assert bits(getattr(back, name).tolist()) == bits(getattr(scan, name).tolist())
+
+
+@st.composite
+def config_docs(draw, degrees):
+    """A config document as a user writes it, angles in degrees drawn from ``degrees``."""
+    coordinate = st.floats(-1e6, 1e6)
+    nonnegative = st.floats(0.0, 1e6)
+
+    def point(height):
+        return [draw(coordinate), draw(coordinate), draw(height)]
+
+    # sources above the detector plane, so no source/detector pair coincides
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "scenario": draw(st.sampled_from(("I", "II"))),
+        "bell_kind": draw(st.sampled_from((1, 2))),
+        "entangled_fraction": draw(unit),
+        "geometry": {
+            "source1": point(st.floats(1.0, 1e6)),
+            "source2": point(st.floats(1.0, 1e6)),
+            "detector_a": point(st.floats(-1e6, 0.0)),
+            "detector_b": point(st.floats(-1e6, 0.0)),
+            "wavenumber": draw(st.floats(1e-6, 1e6)),
+        },
+        "propagation": {"normalization": draw(st.sampled_from(("phase-only", "spherical")))},
+        "background": {
+            "axis1_deg": draw(degrees),
+            "axis2_deg": draw(degrees),
+            "alpha1": draw(nonnegative),
+            "alpha2": draw(nonnegative),
+            "weights": {
+                "w12": draw(st.floats(1e-6, 1e6)),
+                **{w: draw(nonnegative) for w in ("w21", "w11", "w22")},
+            },
+        },
+        "chsh": {key: draw(degrees) for key in ("a_deg", "a_prime_deg", "b_deg", "b_prime_deg")},
+        "rng": {"seed": draw(st.integers(0, 2**64 - 1))},
+    }
+
+
+def flatten(loaded):
+    exp, bg, geo, chsh = (loaded.experiment, loaded.experiment.background,
+                          loaded.experiment.geometry, loaded.chsh)
+    return bits([
+        exp.scenario, exp.bell_kind, exp.entangled_fraction, exp.propagator_normalization,
+        *(float(v) for point in (geo.source1, geo.source2, geo.detector_a, geo.detector_b)
+          for v in point),
+        geo.wavenumber, bg.axis1.angle, bg.axis2.angle, bg.alpha1, bg.alpha2,
+        bg.w12, bg.w21, bg.w11, bg.w22,
+        chsh.a.angle, chsh.a_prime.angle, chsh.b.angle, chsh.b_prime.angle, loaded.seed,
+    ])
+
+
+def reload(loaded):
+    return parse_config(yaml.safe_load(dump_config(loaded)))
+
+
+@PROPERTY_SETTINGS
+@given(doc=config_docs(st.floats(0.0, 180.0, exclude_max=True)))
+def test_config_round_trips_exactly(doc):
+    loaded = parse_config(doc)
+    assert flatten(reload(loaded)) == flatten(loaded)
+
+
+@PROPERTY_SETTINGS
+@given(doc=config_docs(st.floats(-1e6, 1e6)))
+def test_config_round_trip_settles_after_one_pass(doc):
+    # an angle outside [0, 180) is normalized on load, and its radians may
+    # have no exact float in degrees; the dumped one always has
+    once = reload(parse_config(doc))
+    assert flatten(reload(once)) == flatten(once)
