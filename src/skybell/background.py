@@ -76,7 +76,9 @@ class BackgroundSpec:
     each source, in either detector assignment; the two entries are
     physically equivalent and share the rate), while w11 and w22 weight
     pairs drawn twice from the same source.  Weights must be nonnegative
-    with a positive sum and are renormalized to sum one.
+    with a positive sum and are renormalized to sum one.  Weights that
+    already sum to one within 4 eps are kept as given, so renormalizing is
+    idempotent and a spec rebuilt from its own weights is bitwise equal.
     """
 
     axis1: PolarizerAxis

@@ -5,12 +5,16 @@ Every output file is paired with a JSON run manifest (same path plus
 files carry a leading "# manifest: ..." comment pointing back at it.
 Floats are written with full repr precision so files round-trip exactly.
 
-Every file is written as a fresh file by ``_write_text``: the text goes to
-a new ``<name>.tmp``, the old file is unlinked and the temp file is renamed
-onto the free name.  Nothing is truncated or renamed over in place, because
-on ext4 (default ``auto_da_alloc``) both force a writeback that blocks the
-process for tens of milliseconds per file.  A subcommand removes the
-stale manifest of its output first and writes the new one last, so a
+Every file is written by ``_write_text`` so that no rename lands on an
+existing name and nothing is truncated: the text goes to a new
+``<name>.tmp``, the previous file is moved aside to ``<name>.old``, the
+temp file is renamed onto the free name and the old file is unlinked.
+On ext4 (default ``auto_da_alloc``) truncating a file or renaming over one
+forces a writeback that blocks a re-run onto an existing output for tens
+of milliseconds per file; a run onto a new path never paid it.  A
+subcommand moves its previous manifest aside too and writes the new one
+last.  A run that raises (Ctrl-C included) puts the previous output and
+manifest back, and a killed one may leave them at ``<name>.old``, so a
 manifest never lists a file that was not written.  Nothing calls fsync:
 the files are not promised to survive a power loss, and a reader racing
 a re-run may briefly find no file.
@@ -24,8 +28,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -86,16 +92,39 @@ def _manifest_path(out_path: Path) -> Path:
 
 
 @contextlib.contextmanager
-def _manifested(out_path: Path, command: str, argv, config_path, seed):
-    """Around the write of ``out_path``: remove its stale manifest, then write a new one.
+def _moved_aside(path: Path):
+    """Move ``path`` to ``<name>.old`` around the body, onto a free name.
 
-    The old manifest is gone before the output is replaced, and the new one
-    is written only if the body returns, so no failure in between leaves a
-    manifest that lists a file that was not written.
+    If the body fails, the old file is put back at ``path``; if it returns,
+    the old file is unlinked.  Only putting it back may rename over an
+    existing file.  A directory at ``path`` is refused, not moved.
+    """
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    old = path.with_name(path.name + ".old")
+    old.unlink(missing_ok=True)
+    try:
+        with contextlib.suppress(FileNotFoundError):
+            path.rename(old)
+        yield
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            old.replace(path)
+        raise
+    old.unlink(missing_ok=True)
+
+
+@contextlib.contextmanager
+def _manifested(out_path: Path, command: str, argv, config_path, seed):
+    """Around the write of ``out_path``: move its manifest aside, then write a new one.
+
+    The new manifest is written only if the body returns; if the body fails,
+    the previous manifest is put back beside the previous output, which
+    ``_write_text`` has put back too.
     """
     manifest = _manifest_path(out_path)
-    manifest.unlink(missing_ok=True)
-    yield
+    with _moved_aside(manifest):
+        yield
     RunManifest(
         command=command,
         argv=list(argv),
@@ -108,16 +137,17 @@ def _manifested(out_path: Path, command: str, argv, config_path, seed):
 def _write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as a fresh file, never over the old one in place.
 
-    A stale ``<name>.tmp`` is removed, the text goes to a new one, the old
-    ``path`` is unlinked and the temp file is renamed onto the free name.
-    A failed write leaves neither a partial ``path`` nor the temp file.
+    A stale ``<name>.tmp`` is removed and the text goes to a new one; the
+    old ``path`` is moved aside while the temp file is renamed onto the
+    free name.  A failed write leaves the previous ``path`` as it was and
+    no temp file.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.unlink(missing_ok=True)
         tmp.write_text(text, encoding="utf-8")
-        path.unlink(missing_ok=True)
-        tmp.rename(path)
+        with _moved_aside(path):
+            tmp.rename(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -378,6 +378,7 @@ def test_failed_output_write_leaves_no_manifest(config_path, scan_csv, tmp_path,
     assert run(fill(argv, config_path, scan_csv) + ["--out", str(out)]) == EXIT_IO
     assert not (tmp_path / "taken.manifest.json").exists()
     assert not (tmp_path / "taken.tmp").exists()
+    assert out.is_dir() and not (tmp_path / "taken.old").exists()
 
 
 @pytest.mark.parametrize(
@@ -413,36 +414,65 @@ def test_rerun_replaces_output_and_manifest_with_fresh_files(
     assert sorted(p.name for p in runs.iterdir()) == ["out", "out.manifest.json"]
 
 
-def test_stale_temp_files_are_replaced_not_written_through(config_path, tmp_path):
+def refuse_temp_renames(monkeypatch, error):
+    """Make renaming a ``*.tmp`` file raise ``error``, once its target name is free."""
+    rename = Path.rename
+
+    def refuse_temp(self, target):
+        if self.name.endswith(".tmp"):
+            assert not Path(target).exists()  # the previous file is already aside
+            raise error(f"cannot rename {self} to {target}")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", refuse_temp)
+
+
+def test_stale_temp_files_are_replaced_not_written_through(config_path, tmp_path, monkeypatch):
     out = tmp_path / "scan.csv"
+    argv = ["scan", "--config", str(config_path), "--grid-a", "0:90:2",
+            "--grid-b", "0:90:2", "--out", str(out)]
     keep = tmp_path / "keep.txt"
     keep.write_text("keep\n", encoding="utf-8")
-    # a killed run's temp file that shares its inode with an unrelated file
-    os.link(keep, tmp_path / "scan.csv.tmp")
-    (tmp_path / "scan.csv.manifest.json.tmp").write_text("{", encoding="utf-8")
-    assert run(["scan", "--config", str(config_path), "--grid-a", "0:90:2",
-                "--grid-b", "0:90:2", "--out", str(out)]) == EXIT_OK
+    # a killed run's temp and set-aside files, sharing an unrelated file's inode
+    for suffix in (".tmp", ".old"):
+        os.link(keep, tmp_path / f"scan.csv{suffix}")
+        (tmp_path / f"scan.csv.manifest.json{suffix}").write_text("{", encoding="utf-8")
+
+    # a failed run must not put a stale set-aside file back as its output
+    with monkeypatch.context() as m:
+        refuse_temp_renames(m, OSError)
+        assert run(argv) == EXIT_IO
+    assert not out.exists() and not (tmp_path / "scan.csv.manifest.json").exists()
+
+    assert run(argv) == EXIT_OK
     assert keep.read_text(encoding="utf-8") == "keep\n"
     assert len(read_scan_csv(out)) == 4
     assert json.loads((tmp_path / "scan.csv.manifest.json").read_text())["command"] == "scan"
-    assert not list(tmp_path.glob("*.tmp"))
+    assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob("*.old"))
 
 
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
-def test_failed_rename_leaves_no_manifest(config_path, scan_csv, tmp_path, monkeypatch, argv):
-    out = tmp_path / "out"
-    argv = fill(argv, config_path, scan_csv) + ["--out", str(out)]
-    assert run(argv) == EXIT_OK  # an earlier run's output and manifest
+def test_failed_rename_keeps_previous_output_and_manifest(
+    config_path, scan_csv, tmp_path, monkeypatch, argv, error
+):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "out"
+    manifest_path = runs / "out.manifest.json"
+    first, second = (fill(a, config_path, scan_csv) + ["--out", str(out)]
+                     for a in (argv, RERUN_SUBCOMMANDS[SUBCOMMANDS.index(argv)]))
+    assert run(first) == EXIT_OK
+    old_bytes = [out.read_bytes(), manifest_path.read_bytes()]
 
-    def refuse(self, target):
-        raise OSError(f"cannot rename {self} to {target}")
-
-    monkeypatch.setattr(Path, "rename", refuse)
-    assert run(argv) == EXIT_IO
-    # the stale manifest went before the old output, so nothing lists a lost file
-    assert not (tmp_path / "out.manifest.json").exists()
-    assert not out.exists()
-    assert not list(tmp_path.glob("*.tmp"))
+    refuse_temp_renames(monkeypatch, error)
+    if error is OSError:
+        assert run(second) == EXIT_IO
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run(second)
+    assert [out.read_bytes(), manifest_path.read_bytes()] == old_bytes
+    assert sorted(p.name for p in runs.iterdir()) == ["out", "out.manifest.json"]
 
 
 def test_usage_errors_exit_two(capsys):
