@@ -43,7 +43,7 @@ from .config import LoadedConfig, load_config
 from .errors import ConfigError, ConsistencyError, DegenerateDesignError, SkybellError
 from .montecarlo import estimate_chsh, sample_scan
 from .polarization import ChshConfiguration, PolarizerAxis
-from .propagation import hbt_intensity, path_amplitudes
+from .propagation import hbt_scan
 from .scenarios import (
     ScanResult,
     angular_scan,
@@ -153,30 +153,23 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_rows(*columns) -> list[str]:
+    """One CSV line per row of the columns, each value as the repr of a Python float."""
+    return [",".join(map(repr, row)) for row in np.column_stack(columns).astype(float).tolist()]
 
 
 def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = None) -> None:
-    lines = []
-    if manifest_name:
-        lines.append(f"# manifest: {manifest_name}")
+    lines = [f"# manifest: {manifest_name}"] if manifest_name else []
     lines.append(",".join(SCAN_CSV_COLUMNS))
-    for i in range(len(scan)):
-        lines.append(
-            ",".join(
-                _fmt(col[i])
-                for col in (
-                    scan.theta_a,
-                    scan.theta_b,
-                    scan.e,
-                    scan.e_signal,
-                    scan.e_background,
-                    scan.w_signal,
-                    scan.w_background,
-                )
-            )
-        )
+    lines += _csv_rows(
+        scan.theta_a,
+        scan.theta_b,
+        scan.e,
+        scan.e_signal,
+        scan.e_background,
+        scan.w_signal,
+        scan.w_background,
+    )
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -368,34 +361,28 @@ def cmd_fit(args, argv) -> int:
 def cmd_hbt(args, argv) -> int:
     loaded = _load(args)
     geometry = loaded.experiment.geometry
-    normalization = loaded.experiment.propagator_normalization
     seed = args.seed if args.seed is not None else loaded.seed
 
     baseline = geometry.detector_b - geometry.detector_a
     length = float(np.linalg.norm(baseline))
     if length <= 0.0:
-        raise ValueError(
-            "hbt scan needs distinct detector positions to define the baseline direction"
+        raise ConfigError(
+            "geometry.detector_a, geometry.detector_b: must differ, "
+            "the hbt baseline runs from detector A towards detector B"
         )
-    direction = baseline / length
     lengths = _parse_grid(args.baseline, "--baseline")
-
-    phase_rng = np.random.Generator(np.random.Philox(key=seed)) if args.random_phases else None
+    phases = np.zeros((len(lengths), 2))
+    if args.random_phases:
+        # one (n, 2) block is the same stream as a size=2 draw per row
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=phases.shape)
+    detector_b = geometry.detector_a + lengths[:, None] * (baseline / length)
+    normalization = loaded.experiment.propagator_normalization
+    fringe = hbt_scan(geometry, detector_b, phases[:, 0], phases[:, 1], normalization)
 
     out = Path(args.out)
     lines = [f"# manifest: {_manifest_path(out).name}", ",".join(HBT_CSV_COLUMNS)]
-    for L in lengths:
-        geo = geometry.with_detector_b(geometry.detector_a + L * direction)
-        if phase_rng is not None:
-            phi1, phi2 = phase_rng.uniform(0.0, 2.0 * math.pi, size=2)
-        else:
-            phi1 = phi2 = 0.0
-        intensity = hbt_intensity(
-            path_amplitudes(geo, phi1=phi1, phi2=phi2, normalization=normalization)
-        )
-        lines.append(
-            ",".join((_fmt(L), _fmt(intensity.total), _fmt(intensity.interference)))
-        )
+    lines += _csv_rows(lengths, fringe.total, fringe.interference)
     with _manifested(out, "hbt", argv, args.config, seed if args.random_phases else None):
         _write_text(out, "\n".join(lines) + "\n")
     print(f"wrote {len(lengths)} rows to {out}")
@@ -481,7 +468,7 @@ def run(argv=None) -> int:
     except (DegenerateDesignError, ConsistencyError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ValueError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -62,9 +62,7 @@ class Geometry:
         if not math.isfinite(k) or k <= 0.0:
             raise ValueError(f"wavenumber must be finite and > 0, got {self.wavenumber!r}")
         object.__setattr__(self, "wavenumber", k)
-        for r, name in zip(self.path_lengths(), ("1->A", "2->A", "1->B", "2->B")):
-            if r <= 0.0:
-                raise ValueError(f"source/detector pair {name} is coincident")
+        _check_legs(self.path_lengths())
 
     def path_lengths(self) -> tuple[float, float, float, float]:
         """Leg lengths (r_1A, r_2A, r_1B, r_2B)."""
@@ -75,14 +73,27 @@ class Geometry:
             float(np.linalg.norm(self.source2 - self.detector_b)),
         )
 
-    def with_detector_b(self, position) -> "Geometry":
-        """Same geometry with detector B moved to ``position``."""
-        return replace(self, detector_b=_as_point(position, "detector_b"))
+
+def _check_legs(lengths) -> None:
+    """Every leg length (r_1A, r_2A, r_1B, r_2B), floats or arrays, must be > 0."""
+    for r, name in zip(lengths, ("1->A", "2->A", "1->B", "2->B")):
+        if np.any(r <= 0.0):
+            raise ValueError(f"source/detector pair {name} is coincident")
+
+
+def _legs(k: float, lengths, phi1, phi2, normalization: str) -> PathAmplitudeSet:
+    """exp(i (k r + phi)), over r if spherical, for leg lengths (r_1A, r_2A, r_1B, r_2B)."""
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}")
+    legs = [np.exp(1j * (k * r + phi)) for r, phi in zip(lengths, (phi1, phi2, phi1, phi2))]
+    if normalization == "spherical":
+        legs = [d / r for d, r in zip(legs, lengths)]
+    return PathAmplitudeSet(*legs)
 
 
 @dataclass(frozen=True)
 class PathAmplitudeSet:
-    """The four leg amplitudes d1a, d2a, d1b, d2b.
+    """The four leg amplitudes d1a, d2a, d1b, d2b: numbers, or arrays of one shape.
 
     Zeros are legitimate (a mask or an occulted leg); non-finite values
     are not.
@@ -95,8 +106,9 @@ class PathAmplitudeSet:
 
     def __post_init__(self):
         for name in ("d1a", "d2a", "d1b", "d2b"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+            v = getattr(self, name)
+            v = complex(v) if np.ndim(v) == 0 else np.asarray(v, dtype=complex)
+            if not np.all(np.isfinite(v)):
                 raise ValueError(f"amplitude {name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
 
@@ -125,22 +137,7 @@ def path_amplitudes(
     normalization : str
         "phase-only" for unit-magnitude legs, "spherical" for 1/r falloff.
     """
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(
-            f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
-        )
-    k = geometry.wavenumber
-    r1a, r2a, r1b, r2b = geometry.path_lengths()
-
-    def leg(r: float, phi: float) -> complex:
-        amp = complex(np.exp(1j * (k * r + phi)))
-        if normalization == "spherical":
-            amp /= r
-        return amp
-
-    return PathAmplitudeSet(
-        d1a=leg(r1a, phi1), d2a=leg(r2a, phi2), d1b=leg(r1b, phi1), d2b=leg(r2b, phi2)
-    )
+    return _legs(geometry.wavenumber, geometry.path_lengths(), phi1, phi2, normalization)
 
 
 class HbtIntensity(NamedTuple):
@@ -155,10 +152,30 @@ def hbt_intensity(amps: PathAmplitudeSet) -> HbtIntensity:
 
         total        = |d1a d2b|^2 + |d2a d1b|^2 + interference
         interference = 2 Re[d1a d2b conj(d2a d1b)].
+
+    Raises OverflowError unless the total, hence the interference, is finite.
     """
-    direct = abs(amps.d1a * amps.d2b) ** 2 + abs(amps.d2a * amps.d1b) ** 2
-    interference = 2.0 * float(np.real(amps.loop_product()))
-    return HbtIntensity(total=direct + interference, interference=interference)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = np.abs(amps.d1a * amps.d2b) ** 2 + np.abs(amps.d2a * amps.d1b) ** 2
+        interference = 2.0 * np.real(amps.loop_product())
+        total = direct + interference
+    if not np.all(np.isfinite(total)):
+        raise OverflowError("hbt intensity is out of floating-point range")
+    return HbtIntensity(total=total, interference=interference)
+
+
+def hbt_scan(geometry, detector_b, phi1=0.0, phi2=0.0, normalization="phase-only") -> HbtIntensity:
+    """``hbt_intensity`` with detector B at each row of the (n, 3) array ``detector_b``.
+
+    ``geometry``'s own detector B is ignored; ``phi1``/``phi2`` are numbers or
+    length-n arrays.  Returns length-n arrays.  Raises ValueError naming the
+    leg if detector B lands on a source, OverflowError if a value overflows.
+    """
+    lengths = geometry.path_lengths()[:2] + tuple(
+        np.linalg.norm(s - detector_b, axis=1) for s in (geometry.source1, geometry.source2)
+    )
+    _check_legs(lengths)
+    return hbt_intensity(_legs(geometry.wavenumber, lengths, phi1, phi2, normalization))
 
 
 def entangled_pair_weight(amps: PathAmplitudeSet) -> float:

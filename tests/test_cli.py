@@ -334,6 +334,47 @@ def test_hbt_random_phases_change_nothing(config_path, tmp_path):
         assert abs(v1[2] - v2[2]) < 1e-9
 
 
+def test_hbt_coincident_detectors_is_a_config_error(tmp_path, capsys):
+    path = write_variant(tmp_path, "same.yaml", **{"geometry.detector_b": [-1.0, 0.0, 0.0]})
+    out = tmp_path / "hbt.csv"
+    code = run(["hbt", "--config", str(path), "--baseline", "0:10:3", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "geometry.detector_a" in err and "geometry.detector_b" in err
+    assert not out.exists()
+    # only the baseline direction needs distinct detectors
+    assert run(["chsh", "--config", str(path)]) == EXIT_OK
+
+
+def test_hbt_baseline_through_a_source_exits_three(tmp_path, capsys):
+    # detector B passes through source 1 at L = 5
+    path = write_variant(tmp_path, "through.yaml", **{
+        "geometry.source1": [5.0, 0.0, 0.0],
+        "geometry.detector_a": [0.0, 0.0, 0.0],
+        "geometry.detector_b": [1.0, 0.0, 0.0],
+    })
+    out = tmp_path / "hbt.csv"
+    code = run(["hbt", "--config", str(path), "--baseline", "0:10:11", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "1->B" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "hbt.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [a for a in SUBCOMMANDS if a[0] != "fit"])
+def test_overflowing_intensity_exits_three(tmp_path, capsys, argv):
+    # the 1/r leg from source 1 to detector A is ~2e157, so its square overflows
+    path = write_variant(tmp_path, "tiny.yaml", **{
+        "propagation.normalization": "spherical",
+        "geometry.source1": [5.0e-158, 0.0, 0.0],
+        "geometry.detector_a": [0.0, 0.0, 0.0],
+    })
+    out = tmp_path / "out"
+    assert run(fill(argv, path, None) + ["--out", str(out)]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical error:") and "Traceback" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
+
+
 # ---------------------------------------------------------------- misc
 
 

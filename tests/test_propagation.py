@@ -19,6 +19,20 @@ from skybell import (
     propagate_pair,
     scenario2_mask,
 )
+from skybell.propagation import hbt_scan
+
+
+def per_row_hbt(geo, detector_b, phi1, phi2, normalization):
+    """Reference for hbt_scan: one Geometry and one amplitude set per row."""
+    rows = []
+    for b, p1, p2 in zip(detector_b, phi1, phi2):
+        g = Geometry(
+            source1=geo.source1, source2=geo.source2, detector_a=geo.detector_a,
+            detector_b=b, wavenumber=geo.wavenumber,
+        )
+        amps = path_amplitudes(g, phi1=p1, phi2=p2, normalization=normalization)
+        rows.append(hbt_intensity(amps))
+    return np.array(rows)
 
 
 def test_geometry_path_lengths():
@@ -48,12 +62,46 @@ def test_geometry_validation():
         )
 
 
-def test_with_detector_b_moves_only_detector_b():
+def test_hbt_scan_moves_only_detector_b():
+    # the geometry's own detector B sits far off; only the scanned rows count
     geo = far_field_geometry()
-    moved = geo.with_detector_b([3.0, 0.0, 0.0])
-    assert np.allclose(moved.detector_b, [3.0, 0.0, 0.0])
-    assert np.allclose(moved.detector_a, geo.detector_a)
-    assert np.allclose(moved.source1, geo.source1)
+    parked = Geometry(
+        source1=geo.source1, source2=geo.source2, detector_a=geo.detector_a,
+        detector_b=[50.0, 7.0, 0.0], wavenumber=geo.wavenumber,
+    )
+    rows = np.array([geo.detector_b, [3.0, 0.0, 0.0]])
+    for norm in ("phase-only", "spherical"):
+        scan = hbt_scan(parked, rows, normalization=norm)
+        ref = per_row_hbt(geo, rows, (0.0, 0.0), (0.0, 0.0), norm)
+        assert scan.total.shape == scan.interference.shape == (2,)
+        scale = ref[:, 0] - ref[:, 1]
+        assert np.all(np.abs(scan.total - ref[:, 0]) <= 1e-12 * scale)
+        assert np.all(np.abs(scan.interference - ref[:, 1]) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("norm", ["phase-only", "spherical"])
+@pytest.mark.parametrize("random_phases", [False, True])
+def test_hbt_scan_matches_per_row_reference(norm, random_phases):
+    rng = np.random.default_rng(41)
+    geo = random_geometry(rng)
+    baseline = geo.detector_b - geo.detector_a
+    lengths = np.linspace(0.0, 20.0, 201)
+    detector_b = geo.detector_a + lengths[:, None] * (baseline / np.linalg.norm(baseline))
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(201, 2)) if random_phases else np.zeros((201, 2))
+    scan = hbt_scan(geo, detector_b, phi1=phases[:, 0], phi2=phases[:, 1], normalization=norm)
+    ref = per_row_hbt(geo, detector_b, phases[:, 0], phases[:, 1], norm)
+    # relative to the row's scale: the interference term crosses zero
+    scale = ref[:, 0] - ref[:, 1]
+    assert np.all(scale > 0.0)
+    assert np.all(np.abs(scan.total - ref[:, 0]) <= 1e-12 * scale)
+    assert np.all(np.abs(scan.interference - ref[:, 1]) <= 1e-12 * scale)
+
+
+def test_hbt_scan_names_a_coincident_leg():
+    geo = far_field_geometry()
+    rows = np.array([[0.0, 0.0, 0.0], geo.source2])
+    with pytest.raises(ValueError, match="2->B"):
+        hbt_scan(geo, rows)
 
 
 def test_path_amplitudes_phase_only():
@@ -123,15 +171,15 @@ def test_fringe_spacing_matches_far_field_estimate():
     geo = far_field_geometry(split=10.0, distance=1000.0, wavenumber=2.0 * math.pi)
     direction = np.array([1.0, 0.0, 0.0])
     lengths = np.linspace(0.0, 100.0, 1001)
-    phases = []
-    for L in lengths:
-        g = geo.with_detector_b(geo.detector_a + L * direction)
-        phases.append(cmath.phase(path_amplitudes(g).loop_product()))
-    phases = np.unwrap(phases)
-    # the loop phase winds monotonically along the baseline
-    assert np.all(np.diff(phases) < 0.0) or np.all(np.diff(phases) > 0.0)
-    period = 2.0 * math.pi / abs(phases[-1] - phases[0]) * (lengths[-1] - lengths[0])
-    assert period == pytest.approx(100.0, rel=0.02)
+    fringe = hbt_scan(geo, geo.detector_a + lengths[:, None] * direction).interference
+    # the loop phase starts at 0 and winds once: cos crosses zero at 1/4 and 3/4 period
+    crossings = np.flatnonzero(np.diff(np.sign(fringe)))
+    assert fringe[0] == pytest.approx(2.0) and len(crossings) == 2
+    first, second = (
+        lengths[n] + fringe[n] / (fringe[n] - fringe[n + 1]) * (lengths[n + 1] - lengths[n])
+        for n in crossings
+    )
+    assert 2.0 * (second - first) == pytest.approx(100.0, rel=0.02)
 
 
 def test_entangled_pair_weight_examples():
