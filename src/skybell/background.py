@@ -199,38 +199,6 @@ def outcome_rates(k: np.ndarray, theta_a: float, theta_b: float) -> np.ndarray:
     return (bars(theta_a) @ k @ bars(theta_b).T).ravel() / 4.0
 
 
-def background_outcome_rate(
-    spec: BackgroundSpec,
-    amps: PathAmplitudeSet,
-    a: PolarizerAxis,
-    b: PolarizerAxis,
-    oa: int,
-    ob: int,
-) -> float:
-    """Detection rate of the (oa, ob) outcome pair behind the two polarizers.
-
-    Nonnegative for every physical amplitude set; a value below -1e-12
-    signals an invalid source/amplitude combination.
-    """
-    rates = outcome_rates(correlation_tensor(spec, amps), a.angle, b.angle)
-    rate = float(rates[OUTCOME_PAIRS.index((oa, ob))])
-    if rate < _NEGATIVE_TOL:
-        raise ConsistencyError(
-            f"outcome rate {rate:.3e} is negative beyond tolerance; "
-            "the source/amplitude combination is not physical"
-        )
-    return max(rate, 0.0)
-
-
-def background_rate_total(spec: BackgroundSpec, amps: PathAmplitudeSet) -> float:
-    """Total coincidence rate summed over the four outcome pairs.
-
-    Polarizer settings drop out of the sum, leaving the purely geometric
-    rate Tr rho_eff.
-    """
-    return max(float(correlation_tensor(spec, amps)[0, 0]), 0.0)
-
-
 def background_correlator(
     spec: BackgroundSpec, amps: PathAmplitudeSet, a: PolarizerAxis, b: PolarizerAxis
 ) -> float:
@@ -264,7 +232,7 @@ def effective_density_matrix(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np
 
     For any product of single-detector operators M_A x M_B,
     Tr[(M_A x M_B) rho_eff] reproduces the weighted four-term rate; its
-    trace equals :func:`background_rate_total`.  Divide by the trace to
+    trace is the total coincidence rate.  Divide by the trace to
     feed it into :func:`skybell.polarization.joint_outcome_probability`.
     """
     rhos = tuple(s.rho for s in spec.densities())

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import __version__
 from .config import LoadedConfig, load_config
-from .errors import ConfigError, ConsistencyError, DegenerateDesignError, SkybellError
+from .errors import ConfigError, SkybellError
 from .montecarlo import estimate_chsh, sample_scan
 from .polarization import ChshConfiguration, PolarizerAxis
 from .propagation import hbt_scan
@@ -51,6 +51,7 @@ from .scenarios import (
     extract_signal,
 )
 
+#: Scan CSV header; column i holds field i of ScanResult (names lower-cased).
 SCAN_CSV_COLUMNS = (
     "theta_a",
     "theta_b",
@@ -161,15 +162,7 @@ def _csv_rows(*columns) -> list[str]:
 def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = None) -> None:
     lines = [f"# manifest: {manifest_name}"] if manifest_name else []
     lines.append(",".join(SCAN_CSV_COLUMNS))
-    lines += _csv_rows(
-        scan.theta_a,
-        scan.theta_b,
-        scan.e,
-        scan.e_signal,
-        scan.e_background,
-        scan.w_signal,
-        scan.w_background,
-    )
+    lines += _csv_rows(*(getattr(scan, field.name) for field in dataclasses.fields(ScanResult)))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -207,15 +200,7 @@ def read_scan_csv(path: Path) -> ScanResult:
             f"scan file {path}: data row {row + 1}, column {SCAN_CSV_COLUMNS[col]}: "
             f"non-finite value {data[row, col]!r}"
         )
-    return ScanResult(
-        theta_a=data[:, 0],
-        theta_b=data[:, 1],
-        e=data[:, 2],
-        e_signal=data[:, 3],
-        e_background=data[:, 4],
-        w_signal=data[:, 5],
-        w_background=data[:, 6],
-    )
+    return ScanResult(*data.T)
 
 
 def _parse_grid(text: str, flag: str) -> np.ndarray:
@@ -286,14 +271,15 @@ def _parse_angles(text: str) -> ChshConfiguration:
     )
 
 
-def _load(args) -> LoadedConfig:
-    return load_config(args.config)
+def _load(args) -> tuple[LoadedConfig, int]:
+    """The config named by ``--config`` and the seed: ``--seed`` if given, else the config's."""
+    loaded = load_config(args.config)
+    return loaded, args.seed if args.seed is not None else loaded.seed
 
 
 def cmd_chsh(args, argv) -> int:
-    loaded = _load(args)
+    loaded, seed = _load(args)
     chsh = _parse_angles(args.angles) if args.angles else loaded.chsh
-    seed = args.seed if args.seed is not None else loaded.seed
 
     s_analytic = chsh_with_background(loaded.experiment, chsh)
     print(f"S = {s_analytic:.6f} (analytic)")
@@ -318,10 +304,9 @@ def cmd_chsh(args, argv) -> int:
 
 
 def cmd_scan(args, argv) -> int:
-    loaded = _load(args)
+    loaded, seed = _load(args)
     grid_a = np.deg2rad(_parse_grid(args.grid_a, "--grid-a"))
     grid_b = np.deg2rad(_parse_grid(args.grid_b, "--grid-b"))
-    seed = args.seed if args.seed is not None else loaded.seed
 
     if args.n:
         scan = sample_scan(loaded.experiment, grid_a, grid_b, args.n, seed)
@@ -359,9 +344,8 @@ def cmd_fit(args, argv) -> int:
 
 
 def cmd_hbt(args, argv) -> int:
-    loaded = _load(args)
+    loaded, seed = _load(args)
     geometry = loaded.experiment.geometry
-    seed = args.seed if args.seed is not None else loaded.seed
 
     baseline = geometry.detector_b - geometry.detector_a
     length = float(np.linalg.norm(baseline))
@@ -465,18 +449,13 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateDesignError, ConsistencyError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ValueError, FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
+    except (SkybellError, ValueError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SkybellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def main() -> None:

@@ -83,17 +83,7 @@ def parse_config(doc: dict) -> LoadedConfig:
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
 
-    scenario = doc.get("scenario")
-    if scenario not in ("I", "II"):
-        raise ConfigError(f"scenario: must be 'I' or 'II', got {scenario!r}")
-
-    bell_kind = doc.get("bell_kind", 1)
-    if isinstance(bell_kind, bool) or bell_kind not in (1, 2):
-        raise ConfigError(f"bell_kind: must be 1 or 2, got {bell_kind!r}")
-
     fraction = _number(doc, "", "entangled_fraction")
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError(f"entangled_fraction: must lie in [0, 1], got {fraction}")
 
     geo = _section(doc, "geometry")
     try:
@@ -133,8 +123,8 @@ def parse_config(doc: dict) -> LoadedConfig:
 
     try:
         experiment = ExperimentConfig(
-            scenario=scenario,
-            bell_kind=bell_kind,
+            scenario=doc.get("scenario"),
+            bell_kind=doc.get("bell_kind", 1),
             entangled_fraction=fraction,
             background=background,
             geometry=geometry,

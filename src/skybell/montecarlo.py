@@ -23,7 +23,6 @@ from .polarization import ChshConfiguration, PolarizerAxis
 from .scenarios import (
     CorrelationModel,
     ExperimentConfig,
-    PathAmplitudeSet,
     ScanResult,
     correlation_model,
 )
@@ -71,10 +70,7 @@ class ChannelDistributions:
 
 
 def channel_distributions(
-    cfg: ExperimentConfig,
-    a: PolarizerAxis,
-    b: PolarizerAxis,
-    amplitudes: PathAmplitudeSet | None = None,
+    cfg: ExperimentConfig, a: PolarizerAxis, b: PolarizerAxis
 ) -> ChannelDistributions:
     """Outcome distributions of the entangled and background channels.
 
@@ -82,7 +78,7 @@ def channel_distributions(
     vector renormalized) so that analytically forbidden outcomes never
     occur in samples.
     """
-    return _distributions(correlation_model(cfg, amplitudes), a.angle, b.angle)
+    return _distributions(correlation_model(cfg), a.angle, b.angle)
 
 
 def _distributions(model: CorrelationModel, ta: float, tb: float) -> ChannelDistributions:
@@ -223,24 +219,17 @@ def estimate_chsh(
 ) -> tuple[float, float]:
     """Sampled CHSH sum and its standard error (quadrature over settings).
 
-    The four setting pairs use setting indices 0..3 of the same seed, in
-    the order (a,b), (a',b), (a,b'), (a',b').
+    Term i of :meth:`ChshConfiguration.terms` is sampled with setting
+    index i of the same seed.
     """
-    settings = (
-        (chsh.a, chsh.b),
-        (chsh.a_prime, chsh.b),
-        (chsh.a, chsh.b_prime),
-        (chsh.a_prime, chsh.b_prime),
-    )
+    terms = chsh.terms()
     estimates = [
         estimate_correlator(
             sample_coincidences(cfg, a, b, n_per_setting, seed, setting_index=idx)
         )
-        for idx, (a, b) in enumerate(settings)
+        for idx, (a, b, _) in enumerate(terms)
     ]
-    s_hat = (
-        estimates[0].e_hat + estimates[1].e_hat + estimates[2].e_hat - estimates[3].e_hat
-    )
+    s_hat = sum(sign * est.e_hat for (_, _, sign), est in zip(terms, estimates))
     stderr = math.sqrt(sum(est.stderr**2 for est in estimates))
     return s_hat, stderr
 

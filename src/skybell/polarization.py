@@ -250,31 +250,34 @@ class ChshConfiguration:
             b_prime=PolarizerAxis(-math.pi / 8.0),
         )
 
+    def terms(self) -> tuple[tuple[PolarizerAxis, PolarizerAxis, int], ...]:
+        """The four (A setting, B setting, sign) terms of the CHSH sum.
+
+        In setting-index order 0..3: (a, b, +1), (a', b, +1), (a, b', +1),
+        (a', b', -1).  The sampler keys each term's random stream by its
+        index, so this order is part of every seeded result.
+        """
+        return (
+            (self.a, self.b, +1),
+            (self.a_prime, self.b, +1),
+            (self.a, self.b_prime, +1),
+            (self.a_prime, self.b_prime, -1),
+        )
+
 
 def chsh_expectation(state: TwoPhotonPureState, cfg: ChshConfiguration) -> float:
     """CHSH sum E(a,b) + E(a',b) + E(a,b') - E(a',b') for a pure state.
 
     Bounded in magnitude by 2*sqrt(2) for every normalized state.
     """
-    return (
-        correlator(state, cfg.a, cfg.b)
-        + correlator(state, cfg.a_prime, cfg.b)
-        + correlator(state, cfg.a, cfg.b_prime)
-        - correlator(state, cfg.a_prime, cfg.b_prime)
-    )
+    return sum(sign * correlator(state, a, b) for a, b, sign in cfg.terms())
 
 
 def chsh_operator(cfg: ChshConfiguration) -> np.ndarray:
     """The CHSH observable as a 4x4 matrix on the pair basis."""
-    pa = projector_from_axis(cfg.a).m
-    pap = projector_from_axis(cfg.a_prime).m
-    pb = projector_from_axis(cfg.b).m
-    pbp = projector_from_axis(cfg.b_prime).m
-    return (
-        np.kron(pa, pb)
-        + np.kron(pap, pb)
-        + np.kron(pa, pbp)
-        - np.kron(pap, pbp)
+    return sum(
+        sign * np.kron(projector_from_axis(a).m, projector_from_axis(b).m)
+        for a, b, sign in cfg.terms()
     )
 
 

@@ -64,7 +64,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.bell_kind not in (1, 2):
+        if isinstance(self.bell_kind, bool) or self.bell_kind not in (1, 2):
             raise ValueError(f"bell_kind must be 1 or 2, got {self.bell_kind!r}")
         f = float(self.entangled_fraction)
         if not math.isfinite(f) or not 0.0 <= f <= 1.0:
@@ -220,17 +220,24 @@ class CorrelationModel:
 def correlation_model(
     cfg: ExperimentConfig, amplitudes: PathAmplitudeSet | None = None
 ) -> CorrelationModel:
-    """Build the config's model; raises ValueError when both rates vanish.
+    """Build the config's model.
 
-    ``amplitudes`` overrides the geometry-derived legs, as in
-    :func:`coincidence_correlator`.
+    Raises OverflowError when a rate is out of floating-point range and
+    ValueError when both rates vanish.  ``amplitudes`` overrides the
+    geometry-derived legs, as in :func:`coincidence_correlator`.
     """
     amps = effective_amplitudes(cfg) if amplitudes is None else amplitudes
     f = cfg.entangled_fraction
-    k = correlation_tensor(cfg.background, amps)
-    w_signal = f * entangled_pair_weight(amps)
-    w_background = (1.0 - f) * max(float(k[0, 0]), 0.0)
-    if w_signal + w_background <= 0.0:
+    try:
+        k = correlation_tensor(cfg.background, amps)
+        w_signal = f * entangled_pair_weight(amps)
+        w_background = (1.0 - f) * max(float(k[0, 0]), 0.0)
+        total = w_signal + w_background
+    except OverflowError:  # Python's float power raises where numpy gives inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise OverflowError("coincidence rate is out of floating-point range")
+    if total <= 0.0:
         raise ValueError(
             "total coincidence weight is zero: no entangled rate and no "
             "background rate at these settings"
@@ -364,7 +371,9 @@ def chsh_with_background(cfg: ExperimentConfig, chsh: ChshConfiguration) -> floa
     Reaches f * 2*sqrt(2) at the saturating settings when the background
     correlator vanishes there and the two channel rates are equal.
     """
+    terms = chsh.terms()
+    # one evaluation over the terms' angles; term i is the diagonal entry (i, i)
     e, _, _ = correlation_model(cfg).correlators(
-        [chsh.a.angle, chsh.a_prime.angle], [chsh.b.angle, chsh.b_prime.angle]
+        [a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms]
     )
-    return float(e[0, 0] + e[1, 0] + e[0, 1] - e[1, 1])
+    return float(sum(sign * e[i, i] for i, (_, _, sign) in enumerate(terms)))

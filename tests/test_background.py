@@ -11,8 +11,6 @@ from skybell import (
     PolarizerAxis,
     PathAmplitudeSet,
     background_correlator,
-    background_outcome_rate,
-    background_rate_total,
     effective_density_matrix,
     interference_trace,
     outcome_projector,
@@ -22,7 +20,7 @@ from skybell import (
     scenario2_mask,
     source_density,
 )
-from skybell.background import OUTCOME_PAIRS
+from skybell.background import OUTCOME_PAIRS, correlation_tensor, outcome_rates
 
 UNIT_AMPS = PathAmplitudeSet(d1a=1.0, d2a=1.0, d1b=1.0, d2b=1.0)
 MASKED_UNIT = scenario2_mask(UNIT_AMPS)
@@ -31,6 +29,16 @@ MASKED_UNIT = scenario2_mask(UNIT_AMPS)
 def random_amps(rng):
     vals = rng.normal(size=4) + 1j * rng.normal(size=4)
     return PathAmplitudeSet(d1a=vals[0], d2a=vals[1], d1b=vals[2], d2b=vals[3])
+
+
+def rates_at(spec, amps, a, b):
+    """The four OUTCOME_PAIRS rates at polarizers a, b, read off the tensor K."""
+    return outcome_rates(correlation_tensor(spec, amps), a.angle, b.angle)
+
+
+def signed_rate(spec, amps, a, b):
+    """Sum of oa * ob times the (oa, ob) outcome rate."""
+    return sum(oa * ob * r for (oa, ob), r in zip(OUTCOME_PAIRS, rates_at(spec, amps, a, b)))
 
 
 def make_spec(alpha1=1.0, alpha2=1.0, axis1=0.0, axis2=0.0, **weights):
@@ -158,10 +166,7 @@ def test_masked_rate_is_a_separable_product():
         rho1, rho2 = spec.densities()
         pta = polarizer_trace(projector_from_axis(a), rho1)
         ptb = polarizer_trace(projector_from_axis(b), rho2)
-        signed = sum(
-            oa * ob * background_outcome_rate(spec, MASKED_UNIT, a, b, oa, ob)
-            for oa, ob in OUTCOME_PAIRS
-        )
+        signed = signed_rate(spec, MASKED_UNIT, a, b)
         assert abs(signed - pta * ptb) < 1e-12
         assert abs(background_correlator(spec, MASKED_UNIT, a, b) - pta * ptb) < 1e-12
 
@@ -204,9 +209,9 @@ def test_outcome_rates_are_nonnegative_and_sum_to_total():
         amps = random_amps(rng)
         a = PolarizerAxis(rng.uniform(0.0, math.pi))
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
-        rates = [background_outcome_rate(spec, amps, a, b, oa, ob) for oa, ob in OUTCOME_PAIRS]
+        rates = rates_at(spec, amps, a, b)
         assert min(rates) >= 0.0
-        assert sum(rates) == pytest.approx(background_rate_total(spec, amps), abs=1e-12)
+        assert sum(rates) == pytest.approx(correlation_tensor(spec, amps)[0, 0], abs=1e-12)
 
 
 def test_signed_rate_equals_outcome_rate_combination():
@@ -223,11 +228,8 @@ def test_signed_rate_equals_outcome_rate_combination():
         amps = random_amps(rng)
         a = PolarizerAxis(rng.uniform(0.0, math.pi))
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
-        signed = sum(
-            oa * ob * background_outcome_rate(spec, amps, a, b, oa, ob)
-            for oa, ob in OUTCOME_PAIRS
-        )
-        total = background_rate_total(spec, amps)
+        signed = signed_rate(spec, amps, a, b)
+        total = correlation_tensor(spec, amps)[0, 0]
         assert abs(signed - total * background_correlator(spec, amps, a, b)) < 1e-12
 
 
@@ -239,32 +241,30 @@ def test_signed_rate_goes_negative_at_crossed_settings():
     b = PolarizerAxis(math.pi / 2)
     # unit masked legs give unit total rate, so the correlator is the signed rate
     assert background_correlator(spec, MASKED_UNIT, a, b) < -0.5
-    for oa, ob in OUTCOME_PAIRS:
-        assert background_outcome_rate(spec, MASKED_UNIT, a, b, oa, ob) >= 0.0
+    assert min(rates_at(spec, MASKED_UNIT, a, b)) >= 0.0
 
 
 def test_masked_total_rate_is_one_for_unit_legs():
     spec = make_spec(alpha1=2.0, alpha2=0.3)
-    assert background_rate_total(spec, MASKED_UNIT) == pytest.approx(1.0, abs=1e-15)
+    assert correlation_tensor(spec, MASKED_UNIT)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_total_rate_ignores_polarizer_settings():
     rng = np.random.default_rng(48)
     spec = make_spec(alpha1=1.5, alpha2=0.4, axis1=0.3, axis2=1.2, w11=0.2, w22=0.1)
     amps = random_amps(rng)
-    total = background_rate_total(spec, amps)
+    total = correlation_tensor(spec, amps)[0, 0]
     for _ in range(20):
         a = PolarizerAxis(rng.uniform(0.0, math.pi))
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
-        s = sum(background_outcome_rate(spec, amps, a, b, oa, ob) for oa, ob in OUTCOME_PAIRS)
-        assert abs(s - total) < 1e-12
+        assert abs(sum(rates_at(spec, amps, a, b)) - total) < 1e-12
 
 
 def test_correlator_needs_a_nonzero_total_rate():
     spec = make_spec(w12=0.0, w21=0.0, w11=1.0, w22=0.0)
     # same-source pairing (1,1) needs both a d1a and a d1b leg; mask kills d1b
     dead = PathAmplitudeSet(d1a=1.0, d2a=0.0, d1b=0.0, d2b=1.0)
-    assert background_rate_total(spec, dead) == 0.0
+    assert correlation_tensor(spec, dead)[0, 0] == 0.0
     with pytest.raises(ValueError):
         background_correlator(spec, dead, PolarizerAxis(0.0), PolarizerAxis(0.0))
 
@@ -281,7 +281,7 @@ def test_correlator_stays_in_bounds():
             w22=rng.uniform(0.0, 0.3),
         )
         amps = random_amps(rng)
-        if background_rate_total(spec, amps) < 1e-9:
+        if correlation_tensor(spec, amps)[0, 0] < 1e-9:
             continue
         a = PolarizerAxis(rng.uniform(0.0, math.pi))
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
@@ -346,16 +346,16 @@ def test_effective_density_matrix_reproduces_rates():
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         total = four_term_rate(spec, amps, np.eye(2), np.eye(2))
         assert abs(float(np.trace(m).real) - total) < 1e-12
-        assert abs(background_rate_total(spec, amps) - total) < 1e-12
+        assert abs(correlation_tensor(spec, amps)[0, 0] - total) < 1e-12
         assert float(np.linalg.eigvalsh(m).min()) > -1e-10
 
         a = PolarizerAxis(rng.uniform(0.0, math.pi))
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
-        for oa, ob in OUTCOME_PAIRS:
+        for (oa, ob), rate in zip(OUTCOME_PAIRS, rates_at(spec, amps, a, b)):
             ma, mb = outcome_projector(a, oa), outcome_projector(b, ob)
             expected = four_term_rate(spec, amps, ma, mb)
             assert abs(float(np.trace(np.kron(ma, mb) @ m).real) - expected) < 1e-12
-            assert abs(background_outcome_rate(spec, amps, a, b, oa, ob) - expected) < 1e-12
+            assert abs(rate - expected) < 1e-12
 
 
 def test_masked_effective_density_is_the_tensor_product():

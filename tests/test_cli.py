@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import skybell
 from skybell.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -155,6 +157,12 @@ def test_scan_csv_layout(config_path, tmp_path):
     # analytic scan records no seed in the manifest
     manifest = json.loads((tmp_path / "scan.csv.manifest.json").read_text())
     assert manifest["seed"] is None
+
+
+def test_scan_csv_columns_follow_scan_result_fields():
+    # write_scan_csv and read_scan_csv both map column i to field i of ScanResult
+    names = tuple(field.name for field in dataclasses.fields(skybell.ScanResult))
+    assert tuple(c.lower() for c in SCAN_CSV_COLUMNS) == names
 
 
 def test_scan_is_deterministic_byte_for_byte(config_path, tmp_path):
@@ -372,6 +380,8 @@ def test_overflowing_intensity_exits_three(tmp_path, capsys, argv):
     assert run(fill(argv, path, None) + ["--out", str(out)]) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical error:") and "Traceback" not in captured.err
+    if argv[0] in ("chsh", "scan"):
+        assert "coincidence rate is out of floating-point range" in captured.err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
 
 
@@ -527,10 +537,14 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point(config_path):
+    # the child imports the same skybell as this process, installed or not
+    src = str(Path(skybell.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "skybell.cli", "chsh", "--config", str(config_path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "S = 1.096016 (analytic)"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,9 @@ def test_config_validation():
         make_config(scenario="III")
     with pytest.raises(ValueError):
         make_config(bell_kind=0)
+    # True == 1, but a boolean is no state kind
+    with pytest.raises(ValueError, match="bell_kind"):
+        dataclasses.replace(make_config(), bell_kind=True)
     with pytest.raises(ValueError):
         make_config(fraction=1.5)
     with pytest.raises(ValueError):
