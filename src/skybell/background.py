@@ -189,14 +189,23 @@ def tensor_correlator(k: np.ndarray, theta_a, theta_b) -> np.ndarray:
     return _basis_vectors(theta_a) @ k[1:, 1:] @ _basis_vectors(theta_b).T / k[0, 0]
 
 
-def outcome_rates(k: np.ndarray, theta_a: float, theta_b: float) -> np.ndarray:
-    """Rates u_bar^T K v_bar / 4 of the four OUTCOME_PAIRS at one setting pair."""
+def outcome_rates(k: np.ndarray, theta_a, theta_b) -> np.ndarray:
+    """Rates u_bar^T K v_bar / 4 of the four OUTCOME_PAIRS over the outer product of two grids.
+
+    Point (i, j) of the grids holds its four rates in the last axis; a
+    scalar angle has no axis, so one setting pair gives a 4-vector.
+    """
 
     def bars(theta):
-        u = _basis_vectors(theta)[0]
-        return np.array([[1.0, u[0], u[1]], [1.0, -u[0], -u[1]]])
+        """Rows (1, o cos 2t, o sin 2t) for o = +1, -1 at each angle, shape (2n, 3)."""
+        u = _basis_vectors(theta)
+        ones = np.ones((len(u), 1))
+        return np.stack([np.hstack([ones, u]), np.hstack([ones, -u])], axis=1).reshape(-1, 3)
 
-    return (bars(theta_a) @ k @ bars(theta_b).T).ravel() / 4.0
+    rates = bars(theta_a) @ k @ bars(theta_b).T
+    na, nb = rates.shape[0] // 2, rates.shape[1] // 2
+    rates = rates.reshape(na, 2, nb, 2).transpose(0, 2, 1, 3)
+    return rates.reshape(np.shape(theta_a) + np.shape(theta_b) + (4,)) / 4.0
 
 
 def background_correlator(

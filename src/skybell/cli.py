@@ -41,7 +41,7 @@ import numpy as np
 from . import __version__
 from .config import LoadedConfig, load_config
 from .errors import ConfigError, SkybellError
-from .montecarlo import estimate_chsh, sample_scan
+from .montecarlo import MAX_SAMPLE_SIZE, estimate_chsh, sample_scan
 from .polarization import ChshConfiguration, PolarizerAxis
 from .propagation import hbt_scan
 from .scenarios import (
@@ -220,14 +220,14 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
     return np.linspace(start, stop, steps)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
+def _sample_size(text: str) -> int:
+    """argparse type: an integer in [1, 2^63 - 1], the range numpy draws counts in."""
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    if not 1 <= value <= MAX_SAMPLE_SIZE:
+        raise argparse.ArgumentTypeError(f"must be an integer in [1, 2^63 - 1], got {text!r}")
     return value
 
 
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh = sub.add_parser("chsh", help="four-setting CHSH value, analytic and sampled")
     p_chsh.add_argument("--config", required=True, help="YAML run configuration")
     p_chsh.add_argument("--angles", help="override settings as a:a':b:b' in degrees")
-    p_chsh.add_argument("--n", type=_positive_int, help="Monte Carlo coincidences per setting")
+    p_chsh.add_argument("--n", type=_sample_size, help="Monte Carlo coincidences per setting")
     p_chsh.add_argument("--seed", type=_seed, help="override the config seed")
     p_chsh.add_argument("--out", help="write a JSON report here")
     p_chsh.set_defaults(func=cmd_chsh)
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--config", required=True, help="YAML run configuration")
     p_scan.add_argument("--grid-a", required=True, help="start:stop:steps in degrees")
     p_scan.add_argument("--grid-b", required=True, help="start:stop:steps in degrees")
-    p_scan.add_argument("--n", type=_positive_int, help="sample this many coincidences per point")
+    p_scan.add_argument("--n", type=_sample_size, help="sample this many coincidences per point")
     p_scan.add_argument("--seed", type=_seed, help="override the config seed")
     p_scan.add_argument("--out", required=True, help="output CSV path")
     p_scan.set_defaults(func=cmd_scan)

@@ -1,11 +1,14 @@
 """Coincidence-counting Monte Carlo with counter-based random streams.
 
-Each sampling task draws from a Philox stream keyed by
-(seed, setting index, chunk index), so any worker layout that processes
-the fixed-size chunks in any order produces bitwise-identical aggregate
-counts.  A trial first picks the entangled or background channel with
-probability f w_sig / (f w_sig + (1 - f) w_bg), then draws one of the
-four (+-, +-) outcome pairs from that channel's distribution; the
+Every draw comes from a Philox stream keyed by the seed and one 64-bit
+word.  A setting pair sampled with setting index i reads the stream of
+(seed, i << 32), so each CHSH term has its own stream; a sampled scan
+draws its whole grid from the one stream of (seed, scan word).  A trial
+first picks the entangled or background channel with probability
+f w_sig / (f w_sig + (1 - f) w_bg), then draws one of the four (+-, +-)
+outcome pairs from that channel's distribution.  All n trials of a
+setting are drawn at once, one binomial for the channel split and one
+multinomial per channel, so the cost does not grow with n.  The
 estimator is the empirical outcome product with the binomial standard
 error sqrt((1 - e^2)/n).
 """
@@ -27,42 +30,43 @@ from .scenarios import (
     correlation_model,
 )
 
-#: Fixed chunk size; the chunk decomposition of n depends only on n.
+#: Unused by the sampler; perfbench/spans.py reads it for its chunk count.
 CHUNK_SIZE = 1 << 18
+
+#: numpy draws counts as int64, so n may not exceed this.
+MAX_SAMPLE_SIZE = (1 << 63) - 1
 
 _MAX_UINT32 = (1 << 32) - 1
 _MAX_UINT64 = (1 << 64) - 1
 
+#: Stream word of a sampled scan; its low 32 bits are not zero, so no
+#: setting word i << 32 equals it.
+_SCAN_WORD = 0x7363616E
+
 #: oa * ob for each of the OUTCOME_PAIRS.
-_PRODUCTS = np.array([oa * ob for oa, ob in OUTCOME_PAIRS], dtype=float)
+_PRODUCTS = np.array([oa * ob for oa, ob in OUTCOME_PAIRS])
 
 
-def _stream(seed: int, setting_index: int, chunk_index: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, setting, chunk); no shared state."""
+def _stream(seed: int, word: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, word); no shared state."""
     if not 0 <= seed <= _MAX_UINT64:
         raise ValueError(f"seed must be a uint64, got {seed!r}")
-    if not 0 <= setting_index <= _MAX_UINT32:
-        raise ValueError(f"setting index out of range: {setting_index!r}")
-    if not 0 <= chunk_index <= _MAX_UINT32:
-        raise ValueError(f"chunk index out of range: {chunk_index!r}")
-    key = np.array([seed, (setting_index << 32) | chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _chunk_sizes(n: int) -> list[int]:
-    sizes = [CHUNK_SIZE] * (n // CHUNK_SIZE)
-    if n % CHUNK_SIZE:
-        sizes.append(n % CHUNK_SIZE)
-    return sizes
+    if not 0 <= word <= _MAX_UINT64:
+        raise ValueError(f"stream word must be a uint64, got {word!r}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelDistributions:
-    """Per-channel outcome distributions and the channel-choice probability."""
+    """Per-channel outcome distributions and the channel-choice probability.
+
+    ``signal`` and ``background`` hold p(+,+), p(+,-), p(-,+), p(-,-) in
+    their last axis: one row per grid point, or a 4-vector for one setting.
+    """
 
     p_signal_channel: float
-    signal: np.ndarray      # p(+,+), p(+,-), p(-,+), p(-,-) for entangled pairs
-    background: np.ndarray  # same, for the unentangled channel
+    signal: np.ndarray      # entangled pairs
+    background: np.ndarray  # the unentangled channel
 
     def mixture(self) -> np.ndarray:
         p = self.p_signal_channel
@@ -72,34 +76,50 @@ class ChannelDistributions:
 def channel_distributions(
     cfg: ExperimentConfig, a: PolarizerAxis, b: PolarizerAxis
 ) -> ChannelDistributions:
-    """Outcome distributions of the entangled and background channels.
+    """Outcome distributions of the entangled and background channels at (a, b).
 
-    Probabilities below 1e-15 are truncated to exactly zero (and the
-    vector renormalized) so that analytically forbidden outcomes never
-    occur in samples.
+    The one-point case of the grid distributions.  Probabilities below
+    1e-15 are truncated to exactly zero (and the vector renormalized) so
+    that analytically forbidden outcomes never occur in samples.
     """
-    return _distributions(correlation_model(cfg), a.angle, b.angle)
+    grid = _distributions(correlation_model(cfg), [a.angle], [b.angle])
+    return dataclasses.replace(grid, signal=grid.signal[0], background=grid.background[0])
 
 
-def _distributions(model: CorrelationModel, ta: float, tb: float) -> ChannelDistributions:
-    """Channel distributions at one setting pair, read off the model."""
-    _, e_signal, _ = model.correlators(ta, tb)
-    p_signal = (1.0 + _PRODUCTS * e_signal[0, 0]) / 4.0
+def _distributions(model: CorrelationModel, grid_a, grid_b) -> ChannelDistributions:
+    """Channel distributions over the outer product of two angle grids.
+
+    Rows of ``signal`` and ``background`` follow the grid points in
+    row-major order, as the rows of :meth:`CorrelationModel.scan`.
+    """
+    _, e_signal, _ = model.correlators(grid_a, grid_b)
+    p_signal = (1.0 + np.multiply.outer(e_signal.ravel(), _PRODUCTS)) / 4.0
     if model.w_background > 0.0:
-        p_background = outcome_rates(model.k, ta, tb) / model.k[0, 0]
+        p_background = outcome_rates(model.k, grid_a, grid_b).reshape(-1, 4) / model.k[0, 0]
     else:
-        p_background = np.zeros(4)
+        p_background = np.zeros_like(p_signal)
 
     def truncate(p: np.ndarray) -> np.ndarray:
         p = np.clip(p, 0.0, 1.0)
         p[p < 1e-15] = 0.0
-        s = p.sum()
-        return p / s if s > 0.0 else p
+        s = p.sum(axis=1, keepdims=True)
+        return p / np.where(s > 0.0, s, 1.0)
 
     return ChannelDistributions(
         p_signal_channel=model.w_signal / (model.w_signal + model.w_background),
         signal=truncate(p_signal),
         background=truncate(p_background),
+    )
+
+
+def _draw(dists: ChannelDistributions, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome counts of n trials at each row of the distributions, in their shape."""
+    n = int(n)
+    if not 1 <= n <= MAX_SAMPLE_SIZE:
+        raise ValueError(f"sample size must lie in [1, 2^63 - 1], got {n}")
+    n_signal = rng.binomial(n, dists.p_signal_channel, size=dists.signal.shape[:-1])
+    return rng.multinomial(n_signal, dists.signal) + rng.multinomial(
+        n - n_signal, dists.background
     )
 
 
@@ -136,20 +156,6 @@ class SampleBatch:
         }
 
 
-def _chunk_counts(
-    dists: ChannelDistributions, m: int, seed: int, setting_index: int, chunk_index: int
-) -> np.ndarray:
-    """Outcome counts of one chunk of m trials; depends only on its key."""
-    rng = _stream(seed, setting_index, chunk_index)
-    n_signal = int(rng.binomial(m, dists.p_signal_channel))
-    counts = np.zeros(4, dtype=np.int64)
-    if n_signal > 0:
-        counts += rng.multinomial(n_signal, dists.signal)
-    if m - n_signal > 0:
-        counts += rng.multinomial(m - n_signal, dists.background)
-    return counts
-
-
 def sample_coincidences(
     cfg: ExperimentConfig,
     a: PolarizerAxis,
@@ -160,34 +166,18 @@ def sample_coincidences(
 ) -> SampleBatch:
     """Draw n coincidences at settings (a, b).
 
-    Deterministic for a given (seed, setting_index): the fixed chunk
-    decomposition of n and the per-chunk stream keys make the aggregate
-    counts independent of how the chunks are scheduled.
+    Deterministic for a given (seed, setting_index): all n trials come
+    from the stream of (seed, setting_index << 32).
     """
-    dists = channel_distributions(cfg, a, b)
-    return _sample(dists, (a.angle, b.angle), n, seed, setting_index)
-
-
-def _sample(
-    dists: ChannelDistributions,
-    settings: tuple[float, float],
-    n: int,
-    seed: int,
-    setting_index: int,
-) -> SampleBatch:
-    """Draw n coincidences from fixed channel distributions."""
-    n = int(n)
-    if n <= 0:
-        raise ValueError(f"sample size must be positive, got {n}")
-    counts = np.zeros(4, dtype=np.int64)
-    for chunk_index, m in enumerate(_chunk_sizes(n)):
-        counts += _chunk_counts(dists, m, seed, setting_index, chunk_index)
+    if not 0 <= setting_index <= _MAX_UINT32:
+        raise ValueError(f"setting index out of range: {setting_index!r}")
+    counts = _draw(channel_distributions(cfg, a, b), n, _stream(seed, setting_index << 32))
     return SampleBatch(
         n_pp=int(counts[0]),
         n_pm=int(counts[1]),
         n_mp=int(counts[2]),
         n_mm=int(counts[3]),
-        settings=settings,
+        settings=(a.angle, b.angle),
         seed_record=f"philox seed={seed} setting={setting_index}",
     )
 
@@ -240,15 +230,13 @@ def sample_scan(
     """Monte Carlo counterpart of an angular scan.
 
     The correlator column holds sampled estimates (n_per_point
-    coincidences per grid point, setting index = row index); the
-    decomposition columns keep their analytic values for diagnostics.
+    coincidences per grid point, the whole grid drawn from the one scan
+    stream of the seed); the decomposition columns keep their analytic
+    values for diagnostics.
     """
     model = correlation_model(cfg)
     scan = model.scan(grid_a, grid_b)
-    e_hat = [
-        estimate_correlator(
-            _sample(_distributions(model, ta, tb), (ta, tb), n_per_point, seed, row)
-        ).e_hat
-        for row, (ta, tb) in enumerate(zip(scan.theta_a, scan.theta_b))
-    ]
-    return dataclasses.replace(scan, e=np.array(e_hat))
+    grid_a, grid_b = np.asarray(grid_a, dtype=float), np.asarray(grid_b, dtype=float)
+    dists = _distributions(model, grid_a, grid_b)
+    counts = _draw(dists, n_per_point, _stream(seed, _SCAN_WORD))
+    return dataclasses.replace(scan, e=(counts @ _PRODUCTS) / int(n_per_point))

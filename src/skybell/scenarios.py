@@ -112,18 +112,10 @@ class CorrelatorParts:
 
 
 def coincidence_correlator(
-    cfg: ExperimentConfig,
-    a: PolarizerAxis,
-    b: PolarizerAxis,
-    amplitudes: PathAmplitudeSet | None = None,
+    cfg: ExperimentConfig, a: PolarizerAxis, b: PolarizerAxis
 ) -> CorrelatorParts:
-    """Mixture correlator at polarizer settings (a, b).
-
-    ``amplitudes`` overrides the geometry-derived legs (useful for
-    feeding externally masked or synthetic amplitude sets); when given,
-    the scenario mask is not re-applied.
-    """
-    model = correlation_model(cfg, amplitudes)
+    """Mixture correlator at polarizer settings (a, b)."""
+    model = correlation_model(cfg)
     e, e_sig, e_bg = model.correlators(a.angle, b.angle)
     return CorrelatorParts(
         e=float(e[0, 0]),
@@ -217,16 +209,13 @@ class CorrelationModel:
         )
 
 
-def correlation_model(
-    cfg: ExperimentConfig, amplitudes: PathAmplitudeSet | None = None
-) -> CorrelationModel:
-    """Build the config's model.
+def correlation_model(cfg: ExperimentConfig) -> CorrelationModel:
+    """Build the config's model from its scenario's leg amplitudes.
 
     Raises OverflowError when a rate is out of floating-point range and
-    ValueError when both rates vanish.  ``amplitudes`` overrides the
-    geometry-derived legs, as in :func:`coincidence_correlator`.
+    ValueError when both rates vanish.
     """
-    amps = effective_amplitudes(cfg) if amplitudes is None else amplitudes
+    amps = effective_amplitudes(cfg)
     f = cfg.entangled_fraction
     try:
         k = correlation_tensor(cfg.background, amps)

@@ -207,6 +207,16 @@ def test_scan_rejects_bad_grid(config_path, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_scan_rejects_a_sample_size_beyond_int64(config_path, tmp_path, capsys):
+    code = run(["scan", "--config", str(config_path), "--grid-a", "0:90:2",
+                "--grid-b", "0:90:2", "--n", str(2**63), "--out", str(tmp_path / "x.csv")])
+    assert code == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "--n" in captured.err and "2^63 - 1" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -397,6 +407,7 @@ def test_overflowing_intensity_exits_three(tmp_path, capsys, argv):
         (["--n", "0"], "--n"),
         (["--n", "many"], "--n"),
         (["--angles", "0:inf:22.5:157.5"], "--angles"),
+        (["--n", str(2**63)], "--n"),
     ],
 )
 def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):

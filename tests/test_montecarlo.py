@@ -10,6 +10,7 @@ from skybell import (
     ChshConfiguration,
     PolarizerAxis,
     SampleBatch,
+    angular_scan,
     channel_distributions,
     coincidence_correlator,
     estimate_chsh,
@@ -17,7 +18,8 @@ from skybell import (
     sample_coincidences,
     sample_scan,
 )
-from skybell.montecarlo import CHUNK_SIZE, _chunk_counts, _chunk_sizes
+from skybell.montecarlo import _SCAN_WORD, _distributions, _stream
+from skybell.scenarios import correlation_model
 
 A = PolarizerAxis(0.2)
 B = PolarizerAxis(0.7)
@@ -70,20 +72,6 @@ def test_sampling_is_deterministic_in_the_seed():
     assert (b1.n_pp, b1.n_pm, b1.n_mp, b1.n_mm) != (b4.n_pp, b4.n_pm, b4.n_mp, b4.n_mm)
     assert b1.seed_record == "philox seed=9 setting=0"
     assert b1.settings == (A.angle, B.angle)
-
-
-def test_chunk_layout_is_schedule_independent():
-    n = 3 * CHUNK_SIZE + 17
-    assert _chunk_sizes(n) == [CHUNK_SIZE, CHUNK_SIZE, CHUNK_SIZE, 17]
-
-    cfg = make_config(fraction=0.3)
-    dists = channel_distributions(cfg, A, B)
-    serial = sample_coincidences(cfg, A, B, n, seed=2)
-    # replay the chunks in reverse order, as a worker pool might
-    counts = np.zeros(4, dtype=np.int64)
-    for idx, m in reversed(list(enumerate(_chunk_sizes(n)))):
-        counts += _chunk_counts(dists, m, seed=2, setting_index=0, chunk_index=idx)
-    assert (serial.n_pp, serial.n_pm, serial.n_mp, serial.n_mm) == tuple(counts)
 
 
 def test_sample_batch_validation_and_estimator():
@@ -176,12 +164,59 @@ def test_sample_scan_columns():
     assert not np.array_equal(scan.e, other.e)
 
 
-def test_stream_key_validation():
-    from skybell.montecarlo import _stream
+def test_sample_scan_z_scores_are_standard_normal():
+    # one grid-wide draw: each point's sampled correlator scatters about the
+    # analytic one with its binomial standard error
+    cfg = make_config(fraction=0.3)
+    grid = np.linspace(0.0, math.pi, 64, endpoint=False)
+    analytic = angular_scan(cfg, grid, grid).e
+    scan = sample_scan(cfg, grid, grid, n_per_point=1000, seed=4)
+    z = (scan.e - analytic) / np.sqrt((1.0 - analytic**2) / 1000)
+    assert abs(np.mean(z)) < 0.1
+    assert abs(np.std(z) - 1.0) < 0.1
 
+    again = sample_scan(cfg, grid, grid, n_per_point=1000, seed=4)
+    assert np.array_equal(scan.e, again.e)
+    other = sample_scan(cfg, grid, grid, n_per_point=1000, seed=5)
+    assert not np.array_equal(scan.e, other.e)
+
+
+def test_channel_distributions_are_one_row_of_the_grid():
+    rng = np.random.default_rng(72)
+    for scenario in ("I", "II"):
+        cfg = make_config(scenario=scenario, fraction=0.4, alpha1=0.8, alpha2=1.7,
+                          axis1=0.3, axis2=1.0, w11=0.2)
+        grid_a, grid_b = rng.uniform(0.0, math.pi, size=(2, 9))
+        grid = _distributions(correlation_model(cfg), grid_a, grid_b)
+        assert grid.signal.shape == grid.background.shape == (81, 4)
+        for i, (ta, tb) in enumerate((ta, tb) for ta in grid_a for tb in grid_b):
+            point = channel_distributions(cfg, PolarizerAxis(ta), PolarizerAxis(tb))
+            assert point.p_signal_channel == grid.p_signal_channel
+            assert np.max(np.abs(point.signal - grid.signal[i])) <= 1e-15
+            assert np.max(np.abs(point.background - grid.background[i])) <= 1e-15
+
+
+def test_stream_key_validation():
     with pytest.raises(ValueError):
-        _stream(-1, 0, 0)
+        _stream(-1, 0)
     with pytest.raises(ValueError):
-        _stream(0, 1 << 32, 0)
+        _stream(1 << 64, 0)
     with pytest.raises(ValueError):
-        _stream(0, 0, 1 << 32)
+        _stream(0, -1)
+    with pytest.raises(ValueError):
+        _stream(0, 1 << 64)
+    cfg = make_config(fraction=0.3)
+    with pytest.raises(ValueError, match="setting index"):
+        sample_coincidences(cfg, A, B, 10, seed=0, setting_index=1 << 32)
+    with pytest.raises(ValueError, match="sample size"):
+        sample_coincidences(cfg, A, B, 1 << 63, seed=0)
+    # setting i reads the stream keyed (seed, i << 32); no setting word is the scan word
+    assert _SCAN_WORD & 0xFFFFFFFF
+    batch = sample_coincidences(cfg, A, B, 1000, seed=6, setting_index=3)
+    rng = np.random.Generator(np.random.Philox(key=np.array([6, 3 << 32], dtype=np.uint64)))
+    dists = channel_distributions(cfg, A, B)
+    n_signal = rng.binomial(1000, dists.p_signal_channel)
+    counts = rng.multinomial(n_signal, dists.signal) + rng.multinomial(
+        1000 - n_signal, dists.background
+    )
+    assert (batch.n_pp, batch.n_pm, batch.n_mp, batch.n_mm) == tuple(counts)

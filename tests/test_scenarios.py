@@ -13,9 +13,11 @@ from skybell import (
     PolarizerAxis,
     ScanResult,
     angular_scan,
+    background_correlator,
     chsh_with_background,
     coincidence_correlator,
     effective_amplitudes,
+    entangled_pair_weight,
     extract_signal,
     null_background_axes,
     path_amplitudes,
@@ -23,6 +25,7 @@ from skybell import (
     projector_from_axis,
     scenario2_mask,
 )
+from skybell.background import correlation_tensor
 
 GRID16 = np.linspace(0.0, math.pi, 16, endpoint=False)
 
@@ -116,18 +119,25 @@ def test_balanced_mixture_at_a_background_null():
         assert abs(parts.e - 0.5 * math.cos(2.0 * (null_a - tb))) < 1e-12
 
 
-def test_explicit_amplitudes_override_masking():
-    # scenario I config fed pre-masked legs behaves exactly like scenario II
+def test_scenario_two_masks_the_cross_legs():
+    # scenario II reads the geometry's legs with the cross legs masked: its
+    # correlator is the mixture built by hand from those masked legs
     rng = np.random.default_rng(65)
     geo = random_geometry(rng)
-    cfg1 = make_config(scenario="I", fraction=0.3, geometry=geo)
-    cfg2 = make_config(scenario="II", fraction=0.3, geometry=geo)
+    cfg = make_config(scenario="II", fraction=0.3, geometry=geo)
     masked = scenario2_mask(path_amplitudes(geo))
+    assert effective_amplitudes(cfg) == masked
+    w_signal = 0.3 * entangled_pair_weight(masked)
+    w_background = 0.7 * correlation_tensor(cfg.background, masked)[0, 0]
     for ta, tb in rng.uniform(0.0, math.pi, size=(25, 2)):
         a, b = PolarizerAxis(ta), PolarizerAxis(tb)
-        forced = coincidence_correlator(cfg1, a, b, amplitudes=masked)
-        native = coincidence_correlator(cfg2, a, b)
-        assert abs(forced.e - native.e) < 1e-12
+        e_background = background_correlator(cfg.background, masked, a, b)
+        expected = (w_signal * math.cos(2.0 * (ta - tb)) + w_background * e_background) / (
+            w_signal + w_background
+        )
+        native = coincidence_correlator(cfg, a, b)
+        assert abs(native.e - expected) < 1e-12
+        assert abs(native.e_background - e_background) < 1e-12
 
 
 def test_correlator_is_invariant_under_global_rotation():
