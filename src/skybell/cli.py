@@ -29,6 +29,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -166,33 +167,58 @@ def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = Non
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def read_scan_csv(path: Path) -> ScanResult:
-    """Read a scan CSV (skipping comment lines); validates the header."""
-    rows = []
-    header = None
+def _content_lines(lines):
+    """The lines, unstripped, that are neither blank nor ``#`` comments."""
+    return (line for line in lines if (text := line.lstrip()) and text[0] != "#")
+
+
+def _parse_rows(lines) -> np.ndarray:
+    """Comma-separated float rows, one per line, by numpy's C parser (2-D)."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _malformed_row(path: Path) -> str:
+    """The first data row of ``path`` that alone is not one row of scan floats."""
+
+    def is_scan_row(line):
+        try:
+            return _parse_rows([line]).shape[1] == len(SCAN_CSV_COLUMNS)
+        except ValueError:
+            return False
+
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = tuple(line.split(","))
-                if header != SCAN_CSV_COLUMNS:
-                    raise ConfigError(
-                        f"scan file {path}: header {','.join(header)!r} does not "
-                        f"match {','.join(SCAN_CSV_COLUMNS)!r}"
-                    )
-                continue
-            parts = line.split(",")
-            if len(parts) != len(SCAN_CSV_COLUMNS):
-                raise ConfigError(f"scan file {path}: malformed row {line!r}")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise ConfigError(f"scan file {path}: malformed row {line!r}") from None
-    if header is None or not rows:
-        raise ConfigError(f"scan file {path}: no data rows")
-    data = np.array(rows)
+        rows = _content_lines(fh)
+        next(rows)  # the header
+        # loadtxt refused the rows together, and only their column counts
+        # couple rows, so some row is refused alone
+        return next(line.strip() for line in rows if not is_scan_row(line))
+
+
+def read_scan_csv(path: Path) -> ScanResult:
+    """Read a scan CSV: one header, then rows of decimal, nan or inf tokens.
+
+    Blank and ``#`` lines are skipped anywhere; a ``#`` after a value is not
+    a comment.  Rows go to numpy's C parser in one call; only when it
+    refuses them is the file read again to quote the first malformed row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = _content_lines(fh)
+        header = next(rows, None)
+        if header is not None and tuple(header.strip().split(",")) != SCAN_CSV_COLUMNS:
+            raise ConfigError(
+                f"scan file {path}: header {header.strip()!r} does not "
+                f"match {','.join(SCAN_CSV_COLUMNS)!r}"
+            )
+        # peeked, so loadtxt never sees (and never warns about) empty input
+        first = next(rows, None)
+        if first is None:
+            raise ConfigError(f"scan file {path}: no data rows")
+        try:
+            data = _parse_rows(itertools.chain((first,), rows))
+        except ValueError:
+            data = None
+    if data is None or data.shape[1] != len(SCAN_CSV_COLUMNS):
+        raise ConfigError(f"scan file {path}: malformed row {_malformed_row(path)!r}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]

@@ -309,8 +309,12 @@ def extract_signal(
         raise ValueError(
             f"background_basis must be 'product' or 'scan', got {background_basis!r}"
         )
-    distinct = {(float(ta), float(tb)) for ta, tb in zip(scan.theta_a, scan.theta_b)}
-    if len(distinct) < 4:
+    distinct = set()  # stops growing at 4; the else runs only when fewer exist
+    for setting in zip(scan.theta_a.tolist(), scan.theta_b.tolist()):
+        distinct.add(setting)
+        if len(distinct) == 4:
+            break
+    else:
         raise ValueError(
             f"need at least 4 distinct (theta_a, theta_b) rows, got {len(distinct)}"
         )

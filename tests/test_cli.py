@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,85 @@ def test_fit_rejects_non_finite_scan_values(config_path, tmp_path, capsys):
     assert "S_hat" not in captured.out
     assert str(scan_path) in captured.err
     assert "data row 3, column E" in captured.err
+
+
+def fit_fails_on(path, capsys):
+    """Run fit on ``path``, expect exit 2 naming the file; return stderr."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["fit", str(path), "--beta1", "0", "--beta2", "0"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert str(path) in captured.err
+    return captured.err
+
+
+def replace_data_row(path, index, text):
+    """Replace data row ``index`` (0-based, after the header) by ``text``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2 + index] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("index", [0, 7, 15])
+@pytest.mark.parametrize("damage", [
+    lambda row: row.rsplit(",", 1)[0],  # short row
+    lambda row: row + ",0.5",  # long row
+    lambda row: row.replace(",", ",abc,", 1).rsplit(",", 1)[0],  # non-numeric field
+    lambda row: row.replace(",", ",,", 1).rsplit(",", 1)[0],  # empty field
+    lambda row: row + " # note",  # a trailing comment is not a comment
+    # Python's float() takes underscores and non-ASCII digits; scan files do not
+    lambda row: "1_0," + row.split(",", 1)[1],
+    lambda row: "\u0661," + row.split(",", 1)[1],
+    lambda row: "0.\u0665," + row.split(",", 1)[1],
+], ids=["short", "long", "non-numeric", "empty-field", "trailing-comment", "underscore",
+        "arabic-indic-digit", "arabic-indic-decimal"])
+def test_fit_rejects_a_malformed_scan_row(scan_csv, capsys, damage, index):
+    row = scan_csv.read_text(encoding="utf-8").splitlines()[2 + index]
+    bad = damage(row)
+    replace_data_row(scan_csv, index, bad)
+    err = fit_fails_on(scan_csv, capsys)
+    assert f"malformed row {bad!r}" in err
+    assert "usecols" not in err
+
+
+def test_fit_rejects_a_lone_short_row(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text(",".join(SCAN_CSV_COLUMNS) + "\n1,2,3,4,5,6\n", encoding="utf-8")
+    assert "malformed row '1,2,3,4,5,6'" in fit_fails_on(path, capsys)
+
+
+@pytest.mark.parametrize("text", [
+    "# manifest: x\n" + ",".join(SCAN_CSV_COLUMNS) + "\n",
+    "# manifest: x\n\n" + ",".join(SCAN_CSV_COLUMNS) + "\n# trailing\n\n",
+    "# manifest: x\n# nothing else\n",
+    "",
+], ids=["header-only", "header-and-comments", "comments-only", "empty"])
+def test_fit_rejects_a_scan_without_data_rows(tmp_path, capsys, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text, encoding="utf-8")
+    err = fit_fails_on(path, capsys)
+    assert "no data rows" in err
+    assert "input contained no data" not in err
+
+
+def test_fit_skips_comment_and_blank_lines_between_rows(scan_csv, tmp_path, capsys):
+    lines = scan_csv.read_text(encoding="utf-8").splitlines()
+    padded = tmp_path / "padded.csv"
+    body = [lines[0], "", lines[1]]
+    for i, row in enumerate(lines[2:]):
+        body += [row, "# between rows", "", "   ", "  # indented comment"][: 1 + i % 5]
+    padded.write_text("\r\n".join(body) + "\r\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["fit", str(scan_csv), "--beta1", "0", "--beta2", "0"]) == EXIT_OK
+    plain = capsys.readouterr()
+    assert run(["fit", str(padded), "--beta1", "0", "--beta2", "0"]) == EXIT_OK
+    assert capsys.readouterr() == plain
+    plain_scan, padded_scan = read_scan_csv(scan_csv), read_scan_csv(padded)
+    for field in dataclasses.fields(plain_scan):
+        assert getattr(padded_scan, field.name).tobytes() == getattr(plain_scan, field.name).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from skybell import (
     effective_density_matrix,
 )
 from skybell.background import OUTCOME_PAIRS, correlation_tensor, outcome_rates
-from skybell.cli import read_scan_csv, write_scan_csv
+from skybell.cli import SCAN_CSV_COLUMNS, read_scan_csv, write_scan_csv
 from skybell.config import SCHEMA_VERSION, dump_config, parse_config
 from skybell.scenarios import ScanResult, correlation_model
 
@@ -114,6 +114,58 @@ def test_scan_csv_round_trips_bitwise(data, rows):
         back = read_scan_csv(path)
     for name in SCAN_FIELDS:
         assert bits(getattr(back, name).tolist()) == bits(getattr(scan, name).tolist())
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308,
+               1.7976931348623157e308)
+TOKEN_FORMATS = (repr, "{:.17e}".format, "{:.17g}".format, "{:.17E}".format, "{:+}".format)
+
+
+def reference_scan_rows(text):
+    """The scan reader's contract spelt out line by line with float()."""
+    rows, header = [], None
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = line
+            continue
+        rows.append([float(v) for v in line.split(",")])
+    return rows
+
+
+@st.composite
+def scan_texts(draw):
+    """A valid scan file: float tokens in several spellings, padded fields,
+    comment and blank lines anywhere, LF or CRLF endings."""
+    finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EDGE_FLOATS))
+    # ScanResult keeps the mixture correlator E in [-1, 1]
+    correlator = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGE_FLOATS[:4]))
+    pad = st.sampled_from(("", " ", "\t"))
+    filler = st.lists(st.sampled_from(("", "   ", "# a comment", "  # x,1,2", "#")), max_size=2)
+    lines = draw(filler) + [",".join(SCAN_CSV_COLUMNS)]
+    for _ in range(draw(st.integers(1, 8))):
+        lines += draw(filler)
+        fields = [draw(pad) + draw(st.sampled_from(TOKEN_FORMATS))(
+                      draw(correlator if name == "E" else finite)) + draw(pad)
+                  for name in SCAN_CSV_COLUMNS]
+        lines.append(draw(pad) + ",".join(fields))
+    lines += draw(filler)
+    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+@PROPERTY_SETTINGS
+@given(text=scan_texts())
+def test_scan_reader_equals_a_float_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        path.write_bytes(text.encode("utf-8"))
+        scan = read_scan_csv(path)
+    expected = list(zip(*reference_scan_rows(text)))
+    for name, column in zip(SCAN_FIELDS, expected):
+        assert bits(getattr(scan, name).tolist()) == bits(column)
 
 
 @st.composite

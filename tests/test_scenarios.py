@@ -275,6 +275,20 @@ def test_extract_signal_needs_four_distinct_settings():
         extract_signal(scan, beta1=0.0, beta2=0.0)
 
 
+def test_extract_signal_counts_every_distinct_setting_it_lacks():
+    scan = angular_scan(make_config(), [0.1], np.tile([0.2, 0.5, 0.9], 1000))
+    assert len(scan) == 3000
+    with pytest.raises(ValueError, match=r"at least 4 distinct .* got 3$"):
+        extract_signal(scan, beta1=0.0, beta2=0.0)
+
+
+def test_extract_signal_finds_a_fourth_setting_in_the_last_row():
+    cfg = make_config(scenario="II", fraction=0.3)
+    scan = angular_scan(cfg, [0.1], np.append(np.tile([0.2, 0.5, 0.9], 1000), 1.3))
+    report = extract_signal(scan, beta1=0.0, beta2=0.0)
+    assert report.s_hat == pytest.approx(0.3, abs=1e-10)
+
+
 def test_extract_signal_refuses_a_nulled_background_column():
     # every theta_a sits at the background null, so the product basis column
     # is identically zero and the design matrix loses rank
