@@ -46,6 +46,7 @@ from .montecarlo import MAX_SAMPLE_SIZE, estimate_chsh, sample_scan
 from .polarization import ChshConfiguration, PolarizerAxis
 from .propagation import hbt_scan
 from .scenarios import (
+    E_TOL,
     ScanResult,
     angular_scan,
     chsh_with_background,
@@ -201,6 +202,30 @@ def read_scan_csv(path: Path) -> ScanResult:
     a comment.  Rows go to numpy's C parser in one call; only when it
     refuses them is the file read again to quote the first malformed row.
     """
+    try:
+        data = _scan_rows(path)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"scan file {path}: not UTF-8 text ({exc.reason})") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(
+            f"scan file {path}: data row {row + 1}, column {SCAN_CSV_COLUMNS[col]}: "
+            f"non-finite value {float(data[row, col])!r}"
+        )
+    e = data[:, SCAN_CSV_COLUMNS.index("E")]
+    over = np.flatnonzero(np.abs(e) > 1.0 + E_TOL)
+    if over.size:
+        row = over[0]
+        raise ConfigError(
+            f"scan file {path}: data row {row + 1}, column E: "
+            f"correlator {float(e[row])!r} leaves [-1, 1]"
+        )
+    return ScanResult(*data.T)
+
+
+def _scan_rows(path: Path) -> np.ndarray:
+    """The data rows of a scan CSV as one 2-D array, header checked."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = _content_lines(fh)
         header = next(rows, None)
@@ -219,14 +244,7 @@ def read_scan_csv(path: Path) -> ScanResult:
             data = None
     if data is None or data.shape[1] != len(SCAN_CSV_COLUMNS):
         raise ConfigError(f"scan file {path}: malformed row {_malformed_row(path)!r}")
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ConfigError(
-            f"scan file {path}: data row {row + 1}, column {SCAN_CSV_COLUMNS[col]}: "
-            f"non-finite value {data[row, col]!r}"
-        )
-    return ScanResult(*data.T)
+    return data
 
 
 def _parse_grid(text: str, flag: str) -> np.ndarray:

@@ -21,6 +21,10 @@ from .scenarios import ExperimentConfig
 
 SCHEMA_VERSION = 1
 
+#: libyaml's parser when PyYAML was built with it, else the pure-Python one;
+#: both use the same safe resolver and constructor, so documents are equal.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class LoadedConfig:
@@ -157,12 +161,14 @@ def parse_config(doc: dict) -> LoadedConfig:
 
 
 def load_config(path) -> LoadedConfig:
-    """Load and validate a YAML config file."""
+    """Load and validate a YAML config file (UTF-8 text)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
-            raise ConfigError(f"could not parse config file: {exc}") from exc
+            raise ConfigError(f"could not parse config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path}: not UTF-8 text ({exc.reason})") from exc
     return parse_config(doc)
 
 

@@ -166,9 +166,6 @@ class TwoPhotonPureState:
         """Rank-1 density matrix |psi><psi| as a 4x4 complex array."""
         return np.outer(self.amp, self.amp.conj())
 
-    def overlap(self, other: "TwoPhotonPureState") -> complex:
-        return complex(np.vdot(self.amp, other.amp))
-
 
 def bell_state(kind: int) -> TwoPhotonPureState:
     """Maximally entangled pair state of the given kind (1 or 2).
@@ -184,20 +181,6 @@ def bell_state(kind: int) -> TwoPhotonPureState:
     raise ValueError(f"entangled state kind must be 1 or 2, got {kind!r}")
 
 
-def product_helicity_state(h1: int, h2: int) -> TwoPhotonPureState:
-    """Unentangled product of two circular polarization states.
-
-    Helicity +-1 maps to (e1 +- i e2)/sqrt(2) for each photon.  These
-    products have zero polarizer correlator at every pair of settings.
-    """
-    if h1 not in (+1, -1) or h2 not in (+1, -1):
-        raise ValueError(f"helicities must be +1 or -1, got ({h1!r}, {h2!r})")
-    r = 1.0 / math.sqrt(2.0)
-    v1 = np.array([r, h1 * 1j * r])
-    v2 = np.array([r, h2 * 1j * r])
-    return TwoPhotonPureState(np.kron(v1, v2))
-
-
 def correlator(state: TwoPhotonPureState, a: PolarizerAxis, b: PolarizerAxis) -> float:
     """Expected product of the +-1 outcomes at polarizers a (photon A) and b.
 
@@ -208,23 +191,6 @@ def correlator(state: TwoPhotonPureState, a: PolarizerAxis, b: PolarizerAxis) ->
         raise ValueError("state amplitudes are not normalized")
     op = np.kron(projector_from_axis(a).m, projector_from_axis(b).m)
     return float(np.vdot(amp, op @ amp).real)
-
-
-def outcome_distribution(
-    state: TwoPhotonPureState, a: PolarizerAxis, b: PolarizerAxis
-) -> np.ndarray:
-    """Joint probabilities of the four +-1 outcome pairs for a pure state.
-
-    Returns [p(+,+), p(+,-), p(-,+), p(-,-)]; the entries are clipped of
-    float round-off and sum to one.
-    """
-    amp = state.amp
-    probs = np.empty(4)
-    for k, (oa, ob) in enumerate(((+1, +1), (+1, -1), (-1, +1), (-1, -1))):
-        op = np.kron(outcome_projector(a, oa), outcome_projector(b, ob))
-        probs[k] = float(np.vdot(amp, op @ amp).real)
-    probs = np.clip(probs, 0.0, 1.0)
-    return probs / probs.sum()
 
 
 @dataclass(frozen=True)
@@ -341,11 +307,6 @@ class SourceDensityMatrix:
             raise ValueError("density matrix inconsistent with its axis/alpha")
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
-
-    @property
-    def degree_of_polarization(self) -> float:
-        """alpha / (1 + alpha), in [0, 1)."""
-        return self.alpha / (1.0 + self.alpha)
 
 
 def _partial_polarization_matrix(axis: PolarizerAxis, alpha: float) -> np.ndarray:

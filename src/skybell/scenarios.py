@@ -24,6 +24,7 @@ shape.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +46,9 @@ SCENARIOS = ("I", "II")
 
 _RANK_TOL = 1e-10
 
+#: Round-off allowed beyond |E| = 1 in a scan's correlator column.
+E_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -52,6 +56,8 @@ class ExperimentConfig:
 
     f = entangled_fraction is the fraction of coincident pairs drawn
     from the entangled channel; the rest follow the background spec.
+    Every field is immutable, so the correlation model is built once per
+    instance, on first use, and kept with it (``model``).
     """
 
     scenario: str
@@ -75,6 +81,11 @@ class ExperimentConfig:
                 f"propagator_normalization must be one of {NORMALIZATIONS}, "
                 f"got {self.propagator_normalization!r}"
             )
+
+    @functools.cached_property
+    def model(self) -> "CorrelationModel":
+        """The config's correlation model, built on first use and kept."""
+        return _build_model(self)
 
 
 def effective_amplitudes(
@@ -154,7 +165,7 @@ class ScanResult:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"scan column {name} holds a non-finite value")
             setattr(self, name, arr)
-        if np.max(np.abs(self.e)) > 1.0 + 1e-9:
+        if np.max(np.abs(self.e)) > 1.0 + E_TOL:
             raise ValueError("correlator column leaves [-1, 1]")
 
     def __len__(self) -> int:
@@ -169,8 +180,9 @@ class CorrelationModel:
     of the mixture.  The entangled channel has no marginals and the
     correlation tensor sign * I, so its correlator is
     sign * cos 2(t_a - t_b); ``k`` is the background's tensor from
-    :func:`skybell.background.correlation_tensor`.  Build one per config
-    with :func:`correlation_model`; nothing here depends on the settings.
+    :func:`skybell.background.correlation_tensor`, read-only.  Each config
+    builds one on first use (:func:`correlation_model`); nothing here
+    depends on the settings.
     """
 
     w_signal: float
@@ -210,11 +222,17 @@ class CorrelationModel:
 
 
 def correlation_model(cfg: ExperimentConfig) -> CorrelationModel:
-    """Build the config's model from its scenario's leg amplitudes.
+    """The config's correlation model, built once per config and cached on it.
 
-    Raises OverflowError when a rate is out of floating-point range and
-    ValueError when both rates vanish.
+    Every observable of a config (scan, CHSH sum, sampled counts) reads
+    this one model.  Raises OverflowError when a rate is out of
+    floating-point range and ValueError when both rates vanish.
     """
+    return cfg.model
+
+
+def _build_model(cfg: ExperimentConfig) -> CorrelationModel:
+    """Build the config's model from its scenario's leg amplitudes."""
     amps = effective_amplitudes(cfg)
     f = cfg.entangled_fraction
     try:
@@ -231,6 +249,7 @@ def correlation_model(cfg: ExperimentConfig) -> CorrelationModel:
             "total coincidence weight is zero: no entangled rate and no "
             "background rate at these settings"
         )
+    k.setflags(write=False)  # shared by every caller of the cached model
     return CorrelationModel(
         w_signal=w_signal,
         w_background=w_background,

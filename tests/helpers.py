@@ -62,3 +62,22 @@ def make_config(
         geometry=geometry if geometry is not None else far_field_geometry(),
         propagator_normalization=normalization,
     )
+
+
+def bits(values):
+    """Floats as hex strings, so equality is bitwise (0.0 and -0.0 differ)."""
+    return [float(v).hex() if isinstance(v, float) else v for v in values]
+
+
+def flatten(loaded):
+    """Every field of a LoadedConfig in one list, floats bitwise."""
+    exp, bg, geo, chsh = (loaded.experiment, loaded.experiment.background,
+                          loaded.experiment.geometry, loaded.chsh)
+    return bits([
+        exp.scenario, exp.bell_kind, exp.entangled_fraction, exp.propagator_normalization,
+        *(float(v) for point in (geo.source1, geo.source2, geo.detector_a, geo.detector_b)
+          for v in point),
+        geo.wavenumber, bg.axis1.angle, bg.axis2.angle, bg.alpha1, bg.alpha2,
+        bg.w12, bg.w21, bg.w11, bg.w22,
+        chsh.a.angle, chsh.a_prime.angle, chsh.b.angle, chsh.b_prime.angle, loaded.seed,
+    ])

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import skybell
+from skybell import scenarios
 from skybell.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -379,6 +380,19 @@ def test_fit_skips_comment_and_blank_lines_between_rows(scan_csv, tmp_path, caps
         assert getattr(padded_scan, field.name).tobytes() == getattr(plain_scan, field.name).tobytes()
 
 
+def test_fit_rejects_a_correlator_beyond_one(tmp_path, capsys):
+    path = tmp_path / "over.csv"
+    rows = [",".join(SCAN_CSV_COLUMNS), "0,0.5,0.25,0,0,0,0", "0,0,2.0,0,0,0,0"]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    err = fit_fails_on(path, capsys)
+    assert "data row 2, column E: correlator 2.0 leaves [-1, 1]" in err
+
+
+def test_fit_rejects_a_scan_that_is_not_utf8(scan_csv, capsys):
+    scan_csv.write_bytes(scan_csv.read_bytes() + b"0,0,0.5,0,0,0,0\xff\n")
+    assert "not UTF-8 text" in fit_fails_on(scan_csv, capsys)
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--beta1", "nan"), ("--beta1", "inf"), ("--beta2", "1e999")]
 )
@@ -615,6 +629,44 @@ def test_failed_rename_keeps_previous_output_and_manifest(
             run(second)
     assert [out.read_bytes(), manifest_path.read_bytes()] == old_bytes
     assert sorted(p.name for p in runs.iterdir()) == ["out", "out.manifest.json"]
+
+
+def test_config_that_is_not_utf8_exits_two(config_path, capsys):
+    config_path.write_bytes(config_path.read_bytes() + b"# \xff\n")
+    assert run(["chsh", "--config", str(config_path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config file {config_path}: not UTF-8 text" in captured.err
+
+
+@pytest.mark.parametrize("text", [
+    "schema_version: 1\nscenario: [II\n",
+    "schema_version: 1\n\tscenario: II\n",
+], ids=["unclosed-flow-sequence", "tab-indented-key"])
+def test_malformed_yaml_exits_two(tmp_path, capsys, text):
+    path = tmp_path / "broken.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
+    assert f"could not parse config file {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chsh", "--config", "{config}", "--n", "1000"],
+    ["scan", "--config", "{config}", "--grid-a", "0:90:3", "--grid-b", "0:90:3"],
+    ["scan", "--config", "{config}", "--grid-a", "0:90:3", "--grid-b", "0:90:3", "--n", "100"],
+], ids=["chsh-n", "scan", "scan-n"])
+def test_each_run_builds_its_model_once(config_path, tmp_path, monkeypatch, argv):
+    builds = []
+    build = scenarios._build_model
+
+    def counting_build(cfg):
+        builds.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(scenarios, "_build_model", counting_build)
+    argv = fill(argv, config_path, None) + ["--out", str(tmp_path / "out")]
+    assert run(argv) == EXIT_OK
+    assert len(builds) == 1
 
 
 def test_usage_errors_exit_two(capsys):

@@ -1,10 +1,14 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from skybell import ConfigError
+from helpers import flatten
+
+from skybell import ConfigError, config
 from skybell.config import (
     SCHEMA_VERSION,
     default_config,
@@ -55,6 +59,29 @@ def test_load_config_from_file(tmp_path):
     path.write_text(dump_config(default_config()), encoding="utf-8")
     loaded = load_config(path)
     assert loaded.experiment.scenario == "II"
+
+
+def readme_example():
+    """The YAML run configuration shown in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```yaml\n(.*?)```", readme, re.DOTALL).group(1)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("text", [readme_example(), dump_config(default_config())],
+                         ids=["readme-example", "default-dump"])
+def test_libyaml_and_python_loaders_agree(text):
+    docs = [yaml.load(text, Loader=loader) for loader in (yaml.CSafeLoader, yaml.SafeLoader)]
+    assert repr(docs[0]) == repr(docs[1])
+    assert flatten(parse_config(docs[0])) == flatten(parse_config(docs[1]))
+
+
+def test_load_config_falls_back_to_the_python_loader(tmp_path, monkeypatch):
+    path = tmp_path / "run.yaml"
+    path.write_text(readme_example(), encoding="utf-8")
+    expected = flatten(load_config(path))
+    monkeypatch.setattr(config, "_LOADER", yaml.SafeLoader)
+    assert flatten(load_config(path)) == expected
 
 
 def test_load_config_rejects_bad_yaml(tmp_path):

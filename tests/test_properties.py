@@ -6,12 +6,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import make_config, random_geometry
+from helpers import bits, flatten, make_config, random_geometry
 
 from skybell import (
     ChshConfiguration,
@@ -89,11 +90,6 @@ def test_chsh_respects_the_spectral_bound(cfg, settings_):
     chsh = ChshConfiguration(*(PolarizerAxis(t) for t in settings_))
     s = chsh_with_background(cfg, chsh)
     assert abs(s) <= math.sqrt(chsh_square_spectral_bound(chsh)) + 1e-12
-
-
-def bits(values):
-    """Floats as hex strings, so equality is bitwise (0.0 and -0.0 differ)."""
-    return [float(v).hex() if isinstance(v, float) else v for v in values]
 
 
 SCAN_FIELDS = ("theta_a", "theta_b", "e", "e_signal", "e_background", "w_signal", "w_background")
@@ -206,19 +202,6 @@ def config_docs(draw, degrees):
     }
 
 
-def flatten(loaded):
-    exp, bg, geo, chsh = (loaded.experiment, loaded.experiment.background,
-                          loaded.experiment.geometry, loaded.chsh)
-    return bits([
-        exp.scenario, exp.bell_kind, exp.entangled_fraction, exp.propagator_normalization,
-        *(float(v) for point in (geo.source1, geo.source2, geo.detector_a, geo.detector_b)
-          for v in point),
-        geo.wavenumber, bg.axis1.angle, bg.axis2.angle, bg.alpha1, bg.alpha2,
-        bg.w12, bg.w21, bg.w11, bg.w22,
-        chsh.a.angle, chsh.a_prime.angle, chsh.b.angle, chsh.b_prime.angle, loaded.seed,
-    ])
-
-
 def reload(loaded):
     return parse_config(yaml.safe_load(dump_config(loaded)))
 
@@ -228,6 +211,17 @@ def reload(loaded):
 def test_config_round_trips_exactly(doc):
     loaded = parse_config(doc)
     assert flatten(reload(loaded)) == flatten(loaded)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@PROPERTY_SETTINGS
+@given(doc=config_docs(st.floats(0.0, 180.0, exclude_max=True)))
+def test_libyaml_and_python_loaders_agree(doc):
+    for text in (yaml.safe_dump(doc, sort_keys=False), dump_config(parse_config(doc))):
+        c_doc = yaml.load(text, Loader=yaml.CSafeLoader)
+        py_doc = yaml.load(text, Loader=yaml.SafeLoader)
+        assert repr(c_doc) == repr(py_doc)
+        assert flatten(parse_config(c_doc)) == flatten(parse_config(py_doc))
 
 
 @PROPERTY_SETTINGS

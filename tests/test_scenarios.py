@@ -26,6 +26,7 @@ from skybell import (
     scenario2_mask,
 )
 from skybell.background import correlation_tensor
+from skybell.scenarios import correlation_model
 
 GRID16 = np.linspace(0.0, math.pi, 16, endpoint=False)
 
@@ -176,6 +177,20 @@ def test_zero_weight_raises():
     # same-source pairings need both legs from one source; the mask kills them
     with pytest.raises(ValueError):
         coincidence_correlator(cfg, PolarizerAxis(0.0), PolarizerAxis(0.0))
+
+
+def test_model_is_built_once_per_config_and_read_only():
+    cfg = make_config()
+    model = correlation_model(cfg)
+    assert correlation_model(cfg) is model
+    with pytest.raises(ValueError):
+        model.k[0, 0] = 1.0
+    # a replaced config is a new instance and builds its own model
+    other = correlation_model(dataclasses.replace(cfg, entangled_fraction=0.6))
+    fresh = correlation_model(make_config(fraction=0.6))
+    assert other is not model
+    assert (other.w_signal, other.w_background) == (fresh.w_signal, fresh.w_background)
+    assert np.array_equal(other.k, fresh.k)
 
 
 # ---------------------------------------------------------------- scans
