@@ -6,8 +6,11 @@ make any such change visible; when a deliberate change to the model moves
 them, re-bless the numbers and log the old and new values in CHANGES.md.
 The chi-square test at the same seeds does not depend on the bits: it
 holds the pinned draws to the outcome distribution of the density matrix.
+The sha256 pins of whole CLI outputs hold the CSV writer, the model and
+the sampler to the same bytes together.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -27,6 +30,7 @@ from skybell import (
     sample_coincidences,
 )
 from skybell.background import OUTCOME_PAIRS
+from skybell.cli import EXIT_OK, run
 
 A = PolarizerAxis(0.2)
 B = PolarizerAxis(0.7)
@@ -111,3 +115,57 @@ def test_sampled_counts_fit_the_analytic_distribution(name):
         -chi2 / 2.0
     )
     assert p_value > 1e-3
+
+
+# the example configuration of the README
+README_CONFIG = """\
+schema_version: 1
+scenario: II
+bell_kind: 1
+entangled_fraction: 0.3
+geometry:
+  source1: [-5.0, 0.0, 1000.0]
+  source2: [5.0, 0.0, 1000.0]
+  detector_a: [-1.0, 0.0, 0.0]
+  detector_b: [1.0, 0.0, 0.0]
+  wavenumber: 6.283185307179586
+propagation:
+  normalization: phase-only
+background:
+  axis1_deg: 0.0
+  axis2_deg: 0.0
+  alpha1: 1.0
+  alpha2: 1.0
+  weights: {w12: 0.5, w21: 0.5, w11: 0.0, w22: 0.0}
+chsh:
+  a_deg: 0.0
+  a_prime_deg: 45.0
+  b_deg: 22.5
+  b_prime_deg: 157.5
+rng:
+  seed: 0
+"""
+
+GRID = ["--grid-a", "0:168.75:16", "--grid-b", "0:168.75:16"]
+
+# sha256 of each output after its "# manifest:" line
+GOLDEN_OUTPUTS = {
+    "scan": (["scan", *GRID],
+             "6814091c6340f87e01b1873ee89b54199c9ef0c779da5409afd762feaf33a370"),
+    "scan_n": (["scan", *GRID, "--n", "1000", "--seed", "7"],
+               "d1d74c53947027d005d9b14633aa6a465a3ff4bb75ca188cd3719a45b0c9abc9"),
+    "hbt": (["hbt", "--baseline", "0:100:101", "--random-phases", "--seed", "11"],
+            "6874076e812f8e062e46e21dd462bbb9427093beb9b3135b02715e2d48d3f53d"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_OUTPUTS))
+def test_cli_output_bytes_are_pinned(name, tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(README_CONFIG, encoding="utf-8")
+    argv, digest = GOLDEN_OUTPUTS[name]
+    out = tmp_path / f"{name}.csv"
+    assert run([*argv, "--config", str(config), "--out", str(out)]) == EXIT_OK
+    first, body = out.read_bytes().split(b"\n", 1)
+    assert first == f"# manifest: {name}.csv.manifest.json".encode()
+    assert hashlib.sha256(body).hexdigest() == digest
