@@ -225,15 +225,10 @@ def background_correlator(
     return float(tensor_correlator(k, a.angle, b.angle)[0, 0])
 
 
-_SWAP = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-    ],
-    dtype=complex,
-)
+#: Index order [0, 2, 1, 3] on a 4x4 pair operator swaps which photon
+#: each detector gets: kron(b, a) is kron(a, b)[_SWAP][:, _SWAP], and the
+#: SWAP gate multiplies on the right as kron(a, b)[:, _SWAP].
+_SWAP = [0, 2, 1, 3]
 
 
 def effective_density_matrix(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np.ndarray:
@@ -243,6 +238,9 @@ def effective_density_matrix(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np
     Tr[(M_A x M_B) rho_eff] reproduces the weighted four-term rate; its
     trace is the total coincidence rate.  Divide by the trace to
     feed it into :func:`skybell.polarization.joint_outcome_probability`.
+    Each pairing's kron(rho_i, rho_j) is formed once; kron(rho_j, rho_i)
+    and its SWAP product are index permutations of it, with the same
+    bits as the products they stand for.
     """
     rhos = tuple(s.rho for s in spec.densities())
     d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))
@@ -253,9 +251,8 @@ def effective_density_matrix(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np
         dia, dib = d[i]
         dja, djb = d[j]
         z = dia * djb * np.conj(dja * dib)
-        direct = abs(dia * djb) ** 2 * np.kron(rhos[i], rhos[j]) + abs(
-            dja * dib
-        ) ** 2 * np.kron(rhos[j], rhos[i])
-        exchange = z * (np.kron(rhos[i], rhos[j]) @ _SWAP)
+        kron_ij = np.multiply.outer(rhos[i], rhos[j]).transpose(0, 2, 1, 3).reshape(4, 4)
+        direct = abs(dia * djb) ** 2 * kron_ij + abs(dja * dib) ** 2 * kron_ij[_SWAP][:, _SWAP]
+        exchange = z * kron_ij[:, _SWAP]
         out += w * (direct + exchange + exchange.conj().T)
     return out

@@ -3,7 +3,13 @@
 Every output file is paired with a JSON run manifest (same path plus
 ".manifest.json") recording the command, config, seed and outputs; CSV
 files carry a leading "# manifest: ..." comment pointing back at it.
-Floats are written with full repr precision so files round-trip exactly.
+Floats are written with full repr precision so files round-trip exactly;
+each distinct value of a column (distinct by its bits) is formatted with
+``repr`` once, which gives the same bytes as formatting every value.
+
+``run(argv)`` may be called again and again in one process: the parser is
+built on the first call and kept, and the handler ``cmd_<command>`` is
+looked up in this module at each call.
 
 Every file is written by ``_write_text`` so that no rename lands on an
 existing name and nothing is truncated: the text goes to a new
@@ -156,9 +162,24 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
-def _csv_rows(*columns) -> list[str]:
-    """One CSV line per row of the columns, each value as the repr of a Python float."""
-    return [",".join(map(repr, row)) for row in np.column_stack(columns).astype(float).tolist()]
+def _csv_rows(*columns):
+    """One CSV line per row of the columns, each value as the repr of a Python float.
+
+    Each distinct value of a column is formatted once.  Values are distinct
+    by their bits, so -0.0 and 0.0 (and every NaN) keep their own repr, and
+    the lines are the same as formatting every value; a column with no
+    repeat is formatted row by row.  The lines are made as they are read.
+    """
+    formatted = []
+    for column in columns:
+        column = np.asarray(column, dtype=float)
+        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if len(keys) == len(column):
+            formatted.append(map(repr, column.tolist()))
+        else:
+            texts = [repr(value) for value in keys.view(float).tolist()]
+            formatted.append(map(texts.__getitem__, inverse.tolist()))
+    return map(",".join, zip(*formatted))
 
 
 def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = None) -> None:
@@ -259,9 +280,14 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise ConfigError(f"{flag}: expected start:stop:steps, got {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ConfigError(f"{flag}: start and stop must be finite, got {text!r}")
+    if not math.isfinite(stop - start):
+        raise ConfigError(f"{flag}: the span stop - start overflows, got {text!r}")
     if steps < 1:
         raise ConfigError(f"{flag}: steps must be >= 1, got {steps}")
-    return np.linspace(start, stop, steps)
+    # a finite span near the float limit can overflow in linspace's
+    # i * step + start only for the last point, which it then sets to stop
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, steps)
 
 
 def _sample_size(text: str) -> int:
@@ -435,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh.add_argument("--n", type=_sample_size, help="Monte Carlo coincidences per setting")
     p_chsh.add_argument("--seed", type=_seed, help="override the config seed")
     p_chsh.add_argument("--out", help="write a JSON report here")
-    p_chsh.set_defaults(func=cmd_chsh)
 
     p_scan = sub.add_parser("scan", help="correlator over a polarizer-angle grid")
     p_scan.add_argument("--config", required=True, help="YAML run configuration")
@@ -444,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--n", type=_sample_size, help="sample this many coincidences per point")
     p_scan.add_argument("--seed", type=_seed, help="override the config seed")
     p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.set_defaults(func=cmd_scan)
 
     p_fit = sub.add_parser("fit", help="least-squares signal extraction from a scan CSV")
     p_fit.add_argument("scan_csv", help="scan CSV produced by the scan subcommand")
@@ -461,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="background shape: separable product of the betas, or the scan's own column",
     )
     p_fit.add_argument("--out", help="write the fit report JSON here")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_hbt = sub.add_parser("hbt", help="intensity-interference fringe over a baseline scan")
     p_hbt.add_argument("--config", required=True, help="YAML run configuration")
@@ -475,21 +498,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hbt.add_argument("--seed", type=_seed, help="override the config seed")
     p_hbt.add_argument("--out", required=True, help="output CSV path")
-    p_hbt.set_defaults(func=cmd_hbt)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv=None) -> int:
+    """Run one command line; may be called again and again in one process.
+
+    The parser is built on the first call and kept.  The handler
+    ``cmd_<command>`` is looked up in this module at each call, so a
+    function rebound here (a tracer, a test's monkeypatch) is the one run.
+    """
+    global _parser
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args, argv)
+        return globals()[f"cmd_{args.command}"](args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import skybell
-from skybell import scenarios
+from skybell import cli, scenarios
 from skybell.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -217,6 +217,28 @@ def test_scan_rejects_a_sample_size_beyond_int64(config_path, tmp_path, capsys):
     assert "--n" in captured.err and "2^63 - 1" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag, argv", [
+    pytest.param(flag, argv, id=flag) for flag, argv in (
+        ("--grid-a", ["scan", "--grid-a", "1e308:-1e308:3", "--grid-b", "0:90:2"]),
+        ("--grid-b", ["scan", "--grid-a", "0:90:2", "--grid-b=-1e308:1e308:3"]),
+        ("--baseline", ["hbt", "--baseline", "1e308:-1e308:3"]),
+    )
+])
+def test_grid_span_that_overflows_exits_two(config_path, tmp_path, capsys, flag, argv):
+    # the suite turns warnings into errors, so a numpy overflow warning fails this
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}: the span stop - start overflows")
+    assert not out.exists()
+
+
+def test_grid_near_the_float_limit_parses_without_warning():
+    # linspace overflows in i * step for the last point and then sets it to stop
+    grid = cli._parse_grid("1.7976931348623157e308:0:7", "--grid-a")
+    assert np.all(np.isfinite(grid)) and grid[0] == 1.7976931348623157e308 and grid[-1] == 0.0
 
 
 # ---------------------------------------------------------------- fit
@@ -679,15 +701,56 @@ def test_version_flag(capsys):
     assert "skybell" in capsys.readouterr().out
 
 
-def test_module_entry_point(config_path):
-    # the child imports the same skybell as this process, installed or not
+def fresh_run(argv, cwd=None):
+    """``skybell`` in a new process, importing the same skybell as this one."""
     src = str(Path(skybell.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "skybell.cli", "chsh", "--config", str(config_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "skybell.cli", *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_runs_in_one_process_equal_fresh_processes(config_path, tmp_path, monkeypatch, capsys):
+    calls = {
+        "usage": ["scan", "--config", str(config_path)],
+        "version": ["--version"],
+        "scan": ["scan", "--config", str(config_path), "--grid-a", "0:90:3",
+                 "--grid-b", "10:80:2", "--out", "scan.csv"],
+        "chsh": ["chsh", "--config", str(config_path), "--n", "1000", "--seed", "3"],
+    }
+    fresh = {}
+    for name, argv in calls.items():
+        (tmp_path / "fresh" / name).mkdir(parents=True)
+        result = fresh_run(argv, cwd=tmp_path / "fresh" / name)
+        fresh[name] = (result.returncode, result.stdout, result.stderr)
+    assert fresh["usage"][0] == EXIT_CONFIG and fresh["version"][0] == EXIT_OK
+
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    for name in ("usage", "version", "scan", "chsh", "usage", "scan", "version", "chsh"):
+        code = run(calls[name])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == fresh[name]
+        if name == "scan":
+            written = (tmp_path / "here" / "scan.csv").read_bytes()
+            assert written == (tmp_path / "fresh" / "scan" / "scan.csv").read_bytes()
+
+
+def test_run_looks_up_the_handler_at_each_call(config_path, monkeypatch):
+    argv = ["scan", "--config", str(config_path), "--grid-a", "0:90:2", "--grid-b", "0:90:2"]
+    assert run(["--version"]) == EXIT_OK  # the parser exists from here on
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda args, argv: seen.append(args.grid_a) or 17)
+    assert run([*argv, "--out", "unused.csv"]) == 17
+    assert seen == ["0:90:2"]
+
+
+def test_module_entry_point(config_path):
+    # the child imports the same skybell as this process, installed or not
+    result = fresh_run(["chsh", "--config", str(config_path)])
     assert result.returncode == 0
     assert result.stdout.strip() == "S = 1.096016 (analytic)"

@@ -23,7 +23,7 @@ from skybell import (
     effective_density_matrix,
 )
 from skybell.background import OUTCOME_PAIRS, correlation_tensor, outcome_rates
-from skybell.cli import SCAN_CSV_COLUMNS, read_scan_csv, write_scan_csv
+from skybell.cli import SCAN_CSV_COLUMNS, _csv_rows, read_scan_csv, write_scan_csv
 from skybell.config import SCHEMA_VERSION, dump_config, parse_config
 from skybell.scenarios import ScanResult, correlation_model
 
@@ -62,6 +62,35 @@ def test_tensor_is_the_density_matrix_contraction(cfg):
         [[np.trace(np.kron(bm, bn) @ rho).real for bn in PAULI] for bm in PAULI]
     )
     assert np.max(np.abs(k - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
+
+
+def reference_density_matrix(spec, amps):
+    """The four-term rate as pair operators, spelt out with kron and the SWAP gate."""
+    rhos = tuple(s.rho for s in spec.densities())
+    d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))
+    out = np.zeros((4, 4), dtype=complex)
+    for w, i, j in spec.pairings():
+        if w == 0.0:
+            continue
+        dia, dib = d[i]
+        dja, djb = d[j]
+        z = dia * djb * np.conj(dja * dib)
+        direct = (abs(dia * djb) ** 2 * np.kron(rhos[i], rhos[j])
+                  + abs(dja * dib) ** 2 * np.kron(rhos[j], rhos[i]))
+        exchange = z * (np.kron(rhos[i], rhos[j]) @ SWAP)
+        out += w * (direct + exchange + exchange.conj().T)
+    return out
+
+
+@PROPERTY_SETTINGS
+@given(cfg=configs())
+def test_density_matrix_equals_the_kron_formula_bitwise(cfg):
+    amps = effective_amplitudes(cfg)
+    rho = effective_density_matrix(cfg.background, amps)
+    assert rho.tobytes() == reference_density_matrix(cfg.background, amps).tobytes()
 
 
 @PROPERTY_SETTINGS
@@ -110,6 +139,30 @@ def test_scan_csv_round_trips_bitwise(data, rows):
         back = read_scan_csv(path)
     for name in SCAN_FIELDS:
         assert bits(getattr(back, name).tolist()) == bits(getattr(scan, name).tolist())
+
+
+CSV_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                   2.2250738585072009e-308, 1e-310, 0.1, 1.0 / 3.0)
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns of one length with many repeats, edge values and one single-valued column."""
+    rows = draw(st.integers(1, 40))
+    value = st.one_of(st.sampled_from(CSV_EDGE_VALUES), st.floats())
+    pool = draw(st.lists(value, min_size=1, max_size=6))
+    repeated = st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)
+    any_value = st.lists(value, min_size=rows, max_size=rows)
+    columns = draw(st.lists(st.one_of(repeated, any_value), min_size=1, max_size=4))
+    columns.insert(draw(st.integers(0, len(columns))), [draw(value)] * rows)
+    return [np.array(column, dtype=float) for column in columns]
+
+
+@PROPERTY_SETTINGS
+@given(columns=csv_columns())
+def test_csv_rows_equal_one_repr_per_value(columns):
+    expected = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    assert list(_csv_rows(*columns)) == expected
 
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308,

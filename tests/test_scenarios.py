@@ -371,3 +371,40 @@ def test_chsh_with_background_polarized_default():
     assert chsh_with_background(cfg, ChshConfiguration.saturating()) == pytest.approx(
         expected, abs=1e-12
     )
+
+
+def svd_optimal_chsh(t):
+    """The maximum of S over linear polarizers for correlation tensor t, and its settings.
+
+    S = u.T(v + v') + u'.T(v - v') with u, u', v, v' unit vectors
+    (cos 2t, sin 2t); its maximum 2 sqrt(s1^2 + s2^2) takes v +- v' along
+    the right singular vectors and u, u' along their images.
+    """
+    _, s, vt = np.linalg.svd(t)
+    theta = math.atan2(s[1], s[0])
+    v = math.cos(theta) * vt[0] + math.sin(theta) * vt[1]
+    v_prime = math.cos(theta) * vt[0] - math.sin(theta) * vt[1]
+    directions = (t @ vt[0], t @ vt[1], v, v_prime)
+    axes = [PolarizerAxis(math.atan2(x[1], x[0]) / 2.0) for x in directions]
+    return 2.0 * math.hypot(s[0], s[1]), ChshConfiguration(*axes)
+
+
+@pytest.mark.parametrize("alpha, scenario, expected", [
+    (1000.0, "I", 2.809),
+    (1000.0, "II", 1.996),
+    (10.0, "I", 2.155),
+    (10.0, "II", 1.653),
+])
+def test_background_only_chsh_maximum(alpha, scenario, expected):
+    # f = 0, the README geometry, orthogonal source axes.  Scenario I exceeds 2
+    # with no entangled pair: each detector sees both sources, and the exchange
+    # term post-selects a Bell-like state from two independent photons
+    # (Shih & Alley 1988; Popescu, Hardy & Zukowski 1997).  That is physics,
+    # not a witness of entanglement; with the cross legs masked it stays <= 2.
+    cfg = make_config(scenario=scenario, fraction=0.0, alpha1=alpha, alpha2=alpha,
+                      axis1=0.0, axis2=math.pi / 2.0)
+    model = correlation_model(cfg)
+    s_max, optimal = svd_optimal_chsh(model.k[1:, 1:] / model.k[0, 0])
+    assert round(s_max, 3) == expected
+    assert chsh_with_background(cfg, optimal) == pytest.approx(s_max, abs=1e-12)
+    assert (s_max > 2.0) == (scenario == "I")
