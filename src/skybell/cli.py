@@ -4,12 +4,10 @@ Every output file is paired with a JSON run manifest (same path plus
 ".manifest.json") recording the command, config, seed and outputs; CSV
 files carry a leading "# manifest: ..." comment pointing back at it.
 Floats are written with full repr precision so files round-trip exactly;
-each distinct value of a column (distinct by its bits) is formatted with
-``repr`` once, which gives the same bytes as formatting every value.
+each distinct value of a column is formatted once (``_csv_rows``).
 
-``run(argv)`` may be called again and again in one process: the parser is
-built on the first call and kept, and the handler ``cmd_<command>`` is
-looked up in this module at each call.
+``run(argv)`` may be called repeatedly in one process: the parser is built
+once, and the handler ``cmd_<command>`` is looked up at each call.
 
 Every file is written by ``_write_text`` so that no rename lands on an
 existing name and nothing is truncated: the text goes to a new
@@ -167,8 +165,9 @@ def _csv_rows(*columns):
 
     Each distinct value of a column is formatted once.  Values are distinct
     by their bits, so -0.0 and 0.0 (and every NaN) keep their own repr, and
-    the lines are the same as formatting every value; a column with no
-    repeat is formatted row by row.  The lines are made as they are read.
+    the lines are the same as formatting every value.  A column with no
+    repeat is formatted row by row and the lines are made as they are read,
+    so no column's strings are all held at once.
     """
     formatted = []
     for column in columns:
@@ -506,11 +505,10 @@ _parser: argparse.ArgumentParser | None = None
 
 
 def run(argv=None) -> int:
-    """Run one command line; may be called again and again in one process.
+    """Run one command line and return its exit code.
 
-    The parser is built on the first call and kept.  The handler
-    ``cmd_<command>`` is looked up in this module at each call, so a
-    function rebound here (a tracer, a test's monkeypatch) is the one run.
+    ``cmd_<command>`` is looked up at each call, so a handler rebound in
+    this module (a tracer, a monkeypatch) is the one that runs.
     """
     global _parser
     argv = list(sys.argv[1:]) if argv is None else list(argv)
