@@ -225,9 +225,9 @@ def background_correlator(
     return float(tensor_correlator(k, a.angle, b.angle)[0, 0])
 
 
-#: Index order [0, 2, 1, 3] on a 4x4 pair operator swaps which photon
-#: each detector gets: kron(b, a) is kron(a, b)[_SWAP][:, _SWAP], and the
-#: SWAP gate multiplies on the right as kron(a, b)[:, _SWAP].
+#: Index order that swaps which photon each detector gets: kron(b, a) is
+#: kron(a, b)[_SWAP][:, _SWAP] and kron(a, b) @ SWAP is kron(a, b)[:, _SWAP],
+#: bit for bit, so each pairing forms one kron.
 _SWAP = [0, 2, 1, 3]
 
 
@@ -238,9 +238,6 @@ def effective_density_matrix(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np
     Tr[(M_A x M_B) rho_eff] reproduces the weighted four-term rate; its
     trace is the total coincidence rate.  Divide by the trace to
     feed it into :func:`skybell.polarization.joint_outcome_probability`.
-    Each pairing's kron(rho_i, rho_j) is formed once; kron(rho_j, rho_i)
-    and its SWAP product are index permutations of it, with the same
-    bits as the products they stand for.
     """
     rhos = tuple(s.rho for s in spec.densities())
     d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))

@@ -715,6 +715,8 @@ def fresh_run(argv, cwd=None):
 
 
 def test_runs_in_one_process_equal_fresh_processes(config_path, tmp_path, monkeypatch, capsys):
+    # argparse wraps usage text to the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
     calls = {
         "usage": ["scan", "--config", str(config_path)],
         "version": ["--version"],
