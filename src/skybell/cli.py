@@ -6,9 +6,6 @@ files carry a leading "# manifest: ..." comment pointing back at it.
 Floats are written with full repr precision so files round-trip exactly;
 each distinct value of a column is formatted once (``_csv_rows``).
 
-``run(argv)`` may be called repeatedly in one process: the parser is built
-once, and the handler ``cmd_<command>`` is looked up at each call.
-
 Every file is written by ``_write_text`` so that no rename lands on an
 existing name and nothing is truncated: the text goes to a new
 ``<name>.tmp``, the previous file is moved aside to ``<name>.old``, the
@@ -163,21 +160,23 @@ def _write_text(path: Path, text: str) -> None:
 def _csv_rows(*columns):
     """One CSV line per row of the columns, each value as the repr of a Python float.
 
-    Each distinct value of a column is formatted once.  Values are distinct
-    by their bits, so -0.0 and 0.0 (and every NaN) keep their own repr, and
-    the lines are the same as formatting every value.  A column with no
-    repeat is formatted row by row and the lines are made as they are read,
-    so no column's strings are all held at once.
+    Each distinct value of a column is formatted once.  Values are keyed by
+    their bits in a dict, so -0.0 and 0.0 (and every NaN) keep their own
+    repr, and the lines are the same as formatting every value.  A column
+    with no repeat is formatted row by row and the lines are made as they
+    are read, so no column's strings are all held at once.
     """
     formatted = []
     for column in columns:
         column = np.asarray(column, dtype=float)
-        keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        if len(keys) == len(column):
+        bits = column.view(np.int64).tolist()
+        texts = dict.fromkeys(bits)
+        if len(texts) == len(bits):
             formatted.append(map(repr, column.tolist()))
         else:
-            texts = [repr(value) for value in keys.view(float).tolist()]
-            formatted.append(map(texts.__getitem__, inverse.tolist()))
+            values = np.array(list(texts), dtype=np.int64).view(float).tolist()
+            texts = dict(zip(texts, map(repr, values)))
+            formatted.append(map(texts.__getitem__, bits))
     return map(",".join, zip(*formatted))
 
 
@@ -460,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chsh.add_argument("--n", type=_sample_size, help="Monte Carlo coincidences per setting")
     p_chsh.add_argument("--seed", type=_seed, help="override the config seed")
     p_chsh.add_argument("--out", help="write a JSON report here")
+    p_chsh.set_defaults(func=cmd_chsh)
 
     p_scan = sub.add_parser("scan", help="correlator over a polarizer-angle grid")
     p_scan.add_argument("--config", required=True, help="YAML run configuration")
@@ -468,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--n", type=_sample_size, help="sample this many coincidences per point")
     p_scan.add_argument("--seed", type=_seed, help="override the config seed")
     p_scan.add_argument("--out", required=True, help="output CSV path")
+    p_scan.set_defaults(func=cmd_scan)
 
     p_fit = sub.add_parser("fit", help="least-squares signal extraction from a scan CSV")
     p_fit.add_argument("scan_csv", help="scan CSV produced by the scan subcommand")
@@ -484,6 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="background shape: separable product of the betas, or the scan's own column",
     )
     p_fit.add_argument("--out", help="write the fit report JSON here")
+    p_fit.set_defaults(func=cmd_fit)
 
     p_hbt = sub.add_parser("hbt", help="intensity-interference fringe over a baseline scan")
     p_hbt.add_argument("--config", required=True, help="YAML run configuration")
@@ -497,30 +499,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_hbt.add_argument("--seed", type=_seed, help="override the config seed")
     p_hbt.add_argument("--out", required=True, help="output CSV path")
+    p_hbt.set_defaults(func=cmd_hbt)
 
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def run(argv=None) -> int:
-    """Run one command line and return its exit code.
-
-    ``cmd_<command>`` is looked up at each call, so a handler rebound in
-    this module (a tracer, a monkeypatch) is the one that runs.
-    """
-    global _parser
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if _parser is None:
-        _parser = build_parser()
+    parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return globals()[f"cmd_{args.command}"](args, argv)
+        return args.func(args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -701,58 +701,15 @@ def test_version_flag(capsys):
     assert "skybell" in capsys.readouterr().out
 
 
-def fresh_run(argv, cwd=None):
-    """``skybell`` in a new process, importing the same skybell as this one."""
-    src = str(Path(skybell.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "skybell.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-
-
-def test_runs_in_one_process_equal_fresh_processes(config_path, tmp_path, monkeypatch, capsys):
-    # argparse wraps usage text to the terminal width; fix it for both sides
-    monkeypatch.setenv("COLUMNS", "80")
-    calls = {
-        "usage": ["scan", "--config", str(config_path)],
-        "version": ["--version"],
-        "scan": ["scan", "--config", str(config_path), "--grid-a", "0:90:3",
-                 "--grid-b", "10:80:2", "--out", "scan.csv"],
-        "chsh": ["chsh", "--config", str(config_path), "--n", "1000", "--seed", "3"],
-    }
-    fresh = {}
-    for name, argv in calls.items():
-        (tmp_path / "fresh" / name).mkdir(parents=True)
-        result = fresh_run(argv, cwd=tmp_path / "fresh" / name)
-        fresh[name] = (result.returncode, result.stdout, result.stderr)
-    assert fresh["usage"][0] == EXIT_CONFIG and fresh["version"][0] == EXIT_OK
-
-    (tmp_path / "here").mkdir()
-    monkeypatch.chdir(tmp_path / "here")
-    for name in ("usage", "version", "scan", "chsh", "usage", "scan", "version", "chsh"):
-        code = run(calls[name])
-        captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == fresh[name]
-        if name == "scan":
-            written = (tmp_path / "here" / "scan.csv").read_bytes()
-            assert written == (tmp_path / "fresh" / "scan" / "scan.csv").read_bytes()
-
-
-def test_run_looks_up_the_handler_at_each_call(config_path, monkeypatch):
-    argv = ["scan", "--config", str(config_path), "--grid-a", "0:90:2", "--grid-b", "0:90:2"]
-    assert run(["--version"]) == EXIT_OK  # the parser exists from here on
-    seen = []
-    monkeypatch.setattr(cli, "cmd_scan", lambda args, argv: seen.append(args.grid_a) or 17)
-    assert run([*argv, "--out", "unused.csv"]) == 17
-    assert seen == ["0:90:2"]
-
-
 def test_module_entry_point(config_path):
     # the child imports the same skybell as this process, installed or not
-    result = fresh_run(["chsh", "--config", str(config_path)])
+    src = str(Path(skybell.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "skybell.cli", "chsh", "--config", str(config_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
     assert result.returncode == 0
     assert result.stdout.strip() == "S = 1.096016 (analytic)"
