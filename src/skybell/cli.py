@@ -288,37 +288,27 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         return np.linspace(start, stop, steps)
 
 
-def _sample_size(text: str) -> int:
-    """argparse type: an integer in [1, 2^63 - 1], the range numpy draws counts in."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if not 1 <= value <= MAX_SAMPLE_SIZE:
-        raise argparse.ArgumentTypeError(f"must be an integer in [1, 2^63 - 1], got {text!r}")
-    return value
+def _argument_type(convert, accept, expected: str):
+    """argparse type: ``convert(text)`` if ``accept`` takes it, else "must be <expected>"."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _seed(text: str) -> int:
-    """argparse type: an integer in [0, 2^64)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    """argparse type: a finite real number."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+# [1, 2^63 - 1] is the range numpy draws counts in
+_sample_size = _argument_type(
+    int, lambda v: 1 <= v <= MAX_SAMPLE_SIZE, "an integer in [1, 2^63 - 1]"
+)
+_seed = _argument_type(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2^64)")
+_finite_float = _argument_type(float, math.isfinite, "a finite number")
 
 
 def _parse_angles(text: str) -> ChshConfiguration:
@@ -516,6 +506,9 @@ def run(argv=None) -> int:
         return args.func(args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid or baseline too large to allocate
+        print(f"config error: the requested sizes do not fit in memory ({exc})", file=sys.stderr)
         return EXIT_CONFIG
     except (SkybellError, ValueError, FloatingPointError, OverflowError,
             np.linalg.LinAlgError) as exc:

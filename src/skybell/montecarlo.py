@@ -145,16 +145,6 @@ class SampleBatch:
     def n_total(self) -> int:
         return self.n_pp + self.n_pm + self.n_mp + self.n_mm
 
-    def to_dict(self) -> dict:
-        return {
-            "n_pp": self.n_pp,
-            "n_pm": self.n_pm,
-            "n_mp": self.n_mp,
-            "n_mm": self.n_mm,
-            "settings": list(self.settings),
-            "seed_record": self.seed_record,
-        }
-
 
 def sample_coincidences(
     cfg: ExperimentConfig,
@@ -189,9 +179,6 @@ class EstimatedCorrelator:
     e_hat: float
     stderr: float
     n: int
-
-    def to_dict(self) -> dict:
-        return {"e_hat": self.e_hat, "stderr": self.stderr, "n": self.n}
 
 
 def estimate_correlator(batch: SampleBatch) -> EstimatedCorrelator:

@@ -34,12 +34,16 @@ parameter alpha >= 0 along an axis n:
 
 an unpolarized part plus an excess along n, with degree of polarization
 alpha / (1 + alpha).
+
+P and rho are built from their parameters (an axis, plus alpha for rho),
+so the properties above hold by construction and are not re-checked;
+only alpha's range is checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,10 +81,6 @@ class PolarizerAxis:
             raise ValueError(f"axis angle must be finite, got {self.angle!r}")
         object.__setattr__(self, "angle", _wrap_axis_angle(self.angle))
 
-    def rotated(self, offset: float) -> "PolarizerAxis":
-        """Axis rotated by ``offset`` radians (re-normalized modulo pi)."""
-        return PolarizerAxis(self.angle + float(offset))
-
     def perpendicular(self) -> "PolarizerAxis":
         """The orthogonal axis in the same transverse plane."""
         return PolarizerAxis(self.angle + math.pi / 2.0)
@@ -100,34 +100,25 @@ def axis_angle_between(first: PolarizerAxis, second: PolarizerAxis) -> float:
 class Projector:
     """The +-1 polarizer observable: +1 along its axis, -1 across it.
 
-    The matrix is symmetric, traceless, and an involution; those
-    properties are checked on construction.
+    Built from its axis: the read-only matrix ``m`` is
+    [[cos 2t, sin 2t], [sin 2t, -cos 2t]] for axis angle t, which is
+    symmetric, traceless and an involution.
     """
 
-    m: np.ndarray
+    axis: PolarizerAxis
+    m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"projector must be 2x2, got shape {m.shape}")
-        if abs(m[0, 1] - m[1, 0]) > _NORM_TOL:
-            raise ValueError("projector must be symmetric")
-        if abs(m[0, 0] + m[1, 1]) > _NORM_TOL:
-            raise ValueError("projector must be traceless")
-        if np.max(np.abs(m @ m - _I2)) > _NORM_TOL:
-            raise ValueError("projector must square to the identity")
+        c = math.cos(2.0 * self.axis.angle)
+        s = math.sin(2.0 * self.axis.angle)
+        m = np.array([[c, s], [s, -c]])
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 
 
 def projector_from_axis(axis: PolarizerAxis) -> Projector:
-    """Build the +-1 polarizer observable for an axis.
-
-    Returns [[cos 2t, sin 2t], [sin 2t, -cos 2t]] for axis angle t.
-    """
-    c = math.cos(2.0 * axis.angle)
-    s = math.sin(2.0 * axis.angle)
-    return Projector(np.array([[c, s], [s, -c]]))
+    """Build the +-1 polarizer observable for an axis."""
+    return Projector(axis)
 
 
 def outcome_projector(axis: PolarizerAxis, outcome: int) -> np.ndarray:
@@ -187,8 +178,6 @@ def correlator(state: TwoPhotonPureState, a: PolarizerAxis, b: PolarizerAxis) ->
     Computes <state| P(a) x P(b) |state>; the result lies in [-1, 1].
     """
     amp = state.amp
-    if abs(float(np.linalg.norm(amp)) - 1.0) > _NORM_TOL:
-        raise ValueError("state amplitudes are not normalized")
     op = np.kron(projector_from_axis(a).m, projector_from_axis(b).m)
     return float(np.vdot(amp, op @ amp).real)
 
@@ -282,56 +271,39 @@ def chsh_square_spectral_bound(cfg: ChshConfiguration) -> float:
 class SourceDensityMatrix:
     """2x2 polarization density matrix of a partially polarized source.
 
-    Parameterized by the polarization axis and the excess parameter
-    alpha >= 0; the matrix itself is stored for direct trace arithmetic
-    and validated (hermitian, unit trace, positive semi-definite, and
-    consistent with axis/alpha) on construction.
+    Built from its parameters, the polarization axis n and the excess
+    alpha >= 0 (the only value checked): the read-only complex matrix
+    ``rho`` = [(1 + 2 alpha)|n><n| + |n_perp><n_perp|] / (2 + 2 alpha) is
+    stored for direct trace arithmetic.
     """
 
-    rho: np.ndarray
     axis: PolarizerAxis
     alpha: float
+    rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
-        if rho.shape != (2, 2):
-            raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > _DENSITY_TOL:
-            raise ValueError("density matrix must be hermitian")
-        if abs(np.trace(rho).real - 1.0) > _DENSITY_TOL:
-            raise ValueError("density matrix must have unit trace")
-        if float(np.linalg.eigvalsh(rho).min()) < -_DENSITY_TOL:
-            raise ValueError("density matrix must be positive semi-definite")
-        expected = _partial_polarization_matrix(self.axis, self.alpha)
-        if np.max(np.abs(rho - expected)) > _DENSITY_TOL:
-            raise ValueError("density matrix inconsistent with its axis/alpha")
+        alpha = float(self.alpha)
+        if not math.isfinite(alpha) or alpha < 0.0:
+            raise ValueError(f"polarization excess alpha must be finite and >= 0, got {alpha!r}")
+        n = self.axis.direction()
+        nperp = self.axis.perpendicular().direction()
+        rho = ((1.0 + 2.0 * alpha) * np.outer(n, n) + np.outer(nperp, nperp)) / (
+            2.0 + 2.0 * alpha
+        )
+        rho = rho.astype(complex)
         rho.setflags(write=False)
+        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "rho", rho)
-
-
-def _partial_polarization_matrix(axis: PolarizerAxis, alpha: float) -> np.ndarray:
-    n = axis.direction()
-    nperp = axis.perpendicular().direction()
-    rho = ((1.0 + 2.0 * alpha) * np.outer(n, n) + np.outer(nperp, nperp)) / (
-        2.0 + 2.0 * alpha
-    )
-    return rho.astype(complex)
 
 
 def source_density(axis: PolarizerAxis, alpha: float) -> SourceDensityMatrix:
     """Density matrix of a source with excess polarization alpha along axis.
 
-    rho = [(1 + 2 alpha)|n><n| + |n_perp><n_perp|] / (2 + 2 alpha), with
-    eigenvalues (1 + 2 alpha)/(2 + 2 alpha) and 1/(2 + 2 alpha).
+    Its eigenvalues are (1 + 2 alpha)/(2 + 2 alpha) and 1/(2 + 2 alpha).
     alpha = 0 is unpolarized (I/2); alpha -> inf approaches a pure state
-    along the axis.
+    along the axis.  Raises ValueError unless alpha is finite and >= 0.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"polarization excess alpha must be finite and >= 0, got {alpha!r}")
-    return SourceDensityMatrix(
-        rho=_partial_polarization_matrix(axis, alpha), axis=axis, alpha=alpha
-    )
+    return SourceDensityMatrix(axis, alpha)
 
 
 def joint_outcome_probability(

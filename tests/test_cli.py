@@ -235,6 +235,24 @@ def test_grid_span_that_overflows_exits_two(config_path, tmp_path, capsys, flag,
     assert not out.exists()
 
 
+# each size is refused by the allocator at once, far beyond any machine's memory,
+# so no page is ever touched
+@pytest.mark.parametrize("argv", [
+    pytest.param(argv, id=name) for name, argv in (
+        ("grid-a", ["scan", "--grid-a", "0:1:1000000000000000", "--grid-b", "0:90:2"]),
+        ("outer-product", ["scan", "--grid-a", "0:1:1000000", "--grid-b", "0:1:1000000"]),
+        ("baseline", ["hbt", "--baseline", "0:1:1000000000000000"]),
+    )
+])
+def test_sizes_that_cannot_be_allocated_exit_two(config_path, tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run([*argv, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the requested sizes do not fit in memory")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_grid_near_the_float_limit_parses_without_warning():
     # linspace overflows in i * step for the last point and then sets it to stop
     grid = cli._parse_grid("1.7976931348623157e308:0:7", "--grid-a")

@@ -21,6 +21,8 @@ from skybell import (
     chsh_with_background,
     effective_amplitudes,
     effective_density_matrix,
+    projector_from_axis,
+    source_density,
 )
 from skybell.background import OUTCOME_PAIRS, correlation_tensor, outcome_rates
 from skybell.cli import SCAN_CSV_COLUMNS, _csv_rows, read_scan_csv, write_scan_csv
@@ -51,6 +53,32 @@ def configs(draw):
         normalization=draw(st.sampled_from(("phase-only", "spherical"))),
         **dict(zip(("w12", "w21", "w11", "w22"), weights)),
     )
+
+
+# model.k and the golden pins rest on these exact bits
+@PROPERTY_SETTINGS
+@given(t=st.floats(-20.0, 20.0), alpha=st.floats(0.0, 1e12))
+def test_source_density_is_the_closed_form_bitwise(t, alpha):
+    axis = PolarizerAxis(t)
+    n = np.array([math.cos(axis.angle), math.sin(axis.angle)])
+    perp = axis.perpendicular().angle
+    nperp = np.array([math.cos(perp), math.sin(perp)])
+    expected = ((1.0 + 2.0 * alpha) * np.outer(n, n) + np.outer(nperp, nperp)) / (
+        2.0 + 2.0 * alpha
+    )
+    rho = source_density(axis, alpha).rho
+    assert rho.dtype == np.complex128 and not rho.flags.writeable
+    assert rho.tobytes() == expected.astype(complex).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(t=st.floats(-20.0, 20.0))
+def test_projector_is_the_closed_form_bitwise(t):
+    axis = PolarizerAxis(t)
+    c, s = math.cos(2.0 * axis.angle), math.sin(2.0 * axis.angle)
+    m = projector_from_axis(axis).m
+    assert m.dtype == np.float64 and not m.flags.writeable
+    assert m.tobytes() == np.array([[c, s], [s, -c]]).tobytes()
 
 
 @PROPERTY_SETTINGS
