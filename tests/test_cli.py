@@ -235,8 +235,8 @@ def test_grid_span_that_overflows_exits_two(config_path, tmp_path, capsys, flag,
     assert not out.exists()
 
 
-# each size is refused by the allocator at once, far beyond any machine's memory,
-# so no page is ever touched
+# 7.11 PiB and 7.28 TiB exceed an ordinary host's memory, so the allocator refuses
+# them at once and no page is ever touched
 @pytest.mark.parametrize("argv", [
     pytest.param(argv, id=name) for name, argv in (
         ("grid-a", ["scan", "--grid-a", "0:1:1000000000000000", "--grid-b", "0:90:2"]),
