@@ -169,3 +169,16 @@ def test_cli_output_bytes_are_pinned(name, tmp_path, capsys):
     first, body = out.read_bytes().split(b"\n", 1)
     assert first == f"# manifest: {name}.csv.manifest.json".encode()
     assert hashlib.sha256(body).hexdigest() == digest
+
+
+# sha256 of the whole JSON report of `chsh --n 100000 --seed 7 --out chsh.json`
+GOLDEN_CHSH_REPORT = "3a5927391f78fc9f80e7663fd20c242cd263c394419e324ffbfd2b782c8476ce"
+
+
+def test_chsh_report_bytes_are_pinned(tmp_path, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text(README_CONFIG, encoding="utf-8")
+    out = tmp_path / "chsh.json"
+    argv = ["chsh", "--config", str(config), "--n", "100000", "--seed", "7", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CHSH_REPORT
