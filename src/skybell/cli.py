@@ -20,6 +20,10 @@ manifest never lists a file that was not written.  Nothing calls fsync:
 the files are not promised to survive a power loss, and a reader racing
 a re-run may briefly find no file.
 
+Each call builds its argument parser anew and, when it names a
+subcommand, only that subcommand's parser (``COMMANDS``); the full tree is
+built only for top-level help, the version, or a usage error it reports.
+
 Exit codes: 0 success, 2 config/usage error, 3 numerical or degeneracy
 error, 4 I/O error.
 """
@@ -431,7 +435,70 @@ def cmd_hbt(args, argv) -> int:
     return EXIT_OK
 
 
+def _chsh_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="YAML run configuration")
+    parser.add_argument("--angles", help="override settings as a:a':b:b' in degrees")
+    parser.add_argument("--n", type=_sample_size, help="Monte Carlo coincidences per setting")
+    parser.add_argument("--seed", type=_seed, help="override the config seed")
+    parser.add_argument("--out", help="write a JSON report here")
+    parser.set_defaults(func=cmd_chsh)
+
+
+def _scan_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="YAML run configuration")
+    parser.add_argument("--grid-a", required=True, help="start:stop:steps in degrees")
+    parser.add_argument("--grid-b", required=True, help="start:stop:steps in degrees")
+    parser.add_argument("--n", type=_sample_size, help="sample this many coincidences per point")
+    parser.add_argument("--seed", type=_seed, help="override the config seed")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.set_defaults(func=cmd_scan)
+
+
+def _fit_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("scan_csv", help="scan CSV produced by the scan subcommand")
+    parser.add_argument(
+        "--beta1", type=_finite_float, required=True, help="background axis 1 (degrees)"
+    )
+    parser.add_argument(
+        "--beta2", type=_finite_float, required=True, help="background axis 2 (degrees)"
+    )
+    parser.add_argument(
+        "--background-basis",
+        choices=("product", "scan"),
+        default="product",
+        help="background shape: separable product of the betas, or the scan's own column",
+    )
+    parser.add_argument("--out", help="write the fit report JSON here")
+    parser.set_defaults(func=cmd_fit)
+
+
+def _hbt_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="YAML run configuration")
+    parser.add_argument(
+        "--baseline", required=True, help="detector separation scan start:stop:steps"
+    )
+    parser.add_argument(
+        "--random-phases",
+        action="store_true",
+        help="redraw source phases per row (the interference column is unchanged)",
+    )
+    parser.add_argument("--seed", type=_seed, help="override the config seed")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.set_defaults(func=cmd_hbt)
+
+
+#: Subcommand name -> (help text, function that adds its arguments and binds
+#: its handler as ``func``), in the order the top-level help lists them.
+COMMANDS = {
+    "chsh": ("four-setting CHSH value, analytic and sampled", _chsh_arguments),
+    "scan": ("correlator over a polarizer-angle grid", _scan_arguments),
+    "fit": ("least-squares signal extraction from a scan CSV", _fit_arguments),
+    "hbt": ("intensity-interference fringe over a baseline scan", _hbt_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: top-level options and every subcommand of ``COMMANDS``."""
     parser = argparse.ArgumentParser(
         prog="skybell",
         description=(
@@ -442,63 +509,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_chsh = sub.add_parser("chsh", help="four-setting CHSH value, analytic and sampled")
-    p_chsh.add_argument("--config", required=True, help="YAML run configuration")
-    p_chsh.add_argument("--angles", help="override settings as a:a':b:b' in degrees")
-    p_chsh.add_argument("--n", type=_sample_size, help="Monte Carlo coincidences per setting")
-    p_chsh.add_argument("--seed", type=_seed, help="override the config seed")
-    p_chsh.add_argument("--out", help="write a JSON report here")
-    p_chsh.set_defaults(func=cmd_chsh)
-
-    p_scan = sub.add_parser("scan", help="correlator over a polarizer-angle grid")
-    p_scan.add_argument("--config", required=True, help="YAML run configuration")
-    p_scan.add_argument("--grid-a", required=True, help="start:stop:steps in degrees")
-    p_scan.add_argument("--grid-b", required=True, help="start:stop:steps in degrees")
-    p_scan.add_argument("--n", type=_sample_size, help="sample this many coincidences per point")
-    p_scan.add_argument("--seed", type=_seed, help="override the config seed")
-    p_scan.add_argument("--out", required=True, help="output CSV path")
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_fit = sub.add_parser("fit", help="least-squares signal extraction from a scan CSV")
-    p_fit.add_argument("scan_csv", help="scan CSV produced by the scan subcommand")
-    p_fit.add_argument(
-        "--beta1", type=_finite_float, required=True, help="background axis 1 (degrees)"
-    )
-    p_fit.add_argument(
-        "--beta2", type=_finite_float, required=True, help="background axis 2 (degrees)"
-    )
-    p_fit.add_argument(
-        "--background-basis",
-        choices=("product", "scan"),
-        default="product",
-        help="background shape: separable product of the betas, or the scan's own column",
-    )
-    p_fit.add_argument("--out", help="write the fit report JSON here")
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_hbt = sub.add_parser("hbt", help="intensity-interference fringe over a baseline scan")
-    p_hbt.add_argument("--config", required=True, help="YAML run configuration")
-    p_hbt.add_argument(
-        "--baseline", required=True, help="detector separation scan start:stop:steps"
-    )
-    p_hbt.add_argument(
-        "--random-phases",
-        action="store_true",
-        help="redraw source phases per row (the interference column is unchanged)",
-    )
-    p_hbt.add_argument("--seed", type=_seed, help="override the config seed")
-    p_hbt.add_argument("--out", required=True, help="output CSV path")
-    p_hbt.set_defaults(func=cmd_hbt)
-
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as the full parser would, building only the invoked subcommand.
+
+    The subcommand's parser alone has the prog, arguments and errors it has
+    in the full tree.  Leftover arguments, and an argv that does not start
+    with a subcommand, go to the full parser, which prints the top-level
+    help, version, usage and errors.
+    """
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"skybell {argv[0]}")
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else EXIT_OK

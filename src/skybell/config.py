@@ -1,8 +1,9 @@
 """YAML run configuration: parsing, validation, and degree conversion.
 
 Config files are human-written, so angles are given in degrees and every
-validation failure names the offending field.  Internally everything is
-radians.
+validation failure names the offending field.  A key that ``dump_config``
+does not write is refused, so a misspelt one cannot fall back to a
+default.  Internally everything is radians.
 """
 
 from __future__ import annotations
@@ -25,6 +26,20 @@ SCHEMA_VERSION = 1
 #: both use the same safe resolver and constructor, so documents are equal.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
+#: The keys of the root ("") and of each section, as ``dump_config`` writes them.
+_KEYS = {
+    "": (
+        "schema_version", "scenario", "bell_kind", "entangled_fraction",
+        "geometry", "propagation", "background", "chsh", "rng",
+    ),
+    "geometry": ("source1", "source2", "detector_a", "detector_b", "wavenumber"),
+    "propagation": ("normalization",),
+    "background": ("axis1_deg", "axis2_deg", "alpha1", "alpha2", "weights"),
+    "background.weights": ("w12", "w21", "w11", "w22"),
+    "chsh": ("a_deg", "a_prime_deg", "b_deg", "b_prime_deg"),
+    "rng": ("seed",),
+}
+
 
 @dataclass(frozen=True)
 class LoadedConfig:
@@ -35,17 +50,27 @@ class LoadedConfig:
     seed: int
 
 
-def _section(doc: dict, name: str, required: bool = True) -> dict:
+def _known_keys(mapping: dict, path: str) -> dict:
+    """``mapping`` if each of its keys is one of ``_KEYS[path]``, else name the first other."""
+    for key in mapping:
+        if key not in _KEYS[path]:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+    return mapping
+
+
+def _section(doc: dict, label: str, required: bool = True) -> dict:
+    """The mapping at ``label`` (a dotted path; ``doc`` holds its last part)."""
+    name = label.rsplit(".", 1)[-1]
     if name not in doc:
         if required:
-            raise ConfigError(f"{name}: missing required section")
+            raise ConfigError(f"{label}: missing required section")
         return {}
     value = doc[name]
     if value is None:
         return {}
     if not isinstance(value, dict):
-        raise ConfigError(f"{name}: must be a mapping")
-    return value
+        raise ConfigError(f"{label}: must be a mapping")
+    return _known_keys(value, label)
 
 
 def _is_number(value) -> bool:
@@ -86,6 +111,7 @@ def parse_config(doc: dict) -> LoadedConfig:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
+    _known_keys(doc, "")
 
     fraction = _number(doc, "", "entangled_fraction")
 
@@ -102,12 +128,7 @@ def parse_config(doc: dict) -> LoadedConfig:
         raise ConfigError(f"geometry: {exc}") from exc
 
     bg = _section(doc, "background")
-    weights = bg.get("weights") or {}
-    if not isinstance(weights, dict):
-        raise ConfigError("background.weights: must be a mapping")
-    for key in weights:
-        if key not in ("w12", "w21", "w11", "w22"):
-            raise ConfigError(f"background.weights.{key}: unknown weight")
+    weights = _section(bg, "background.weights", required=False)
     try:
         background = BackgroundSpec(
             axis1=PolarizerAxis(math.radians(_number(bg, "background", "axis1_deg"))),

@@ -82,8 +82,7 @@ def channel_distributions(
     1e-15 are truncated to exactly zero (and the vector renormalized) so
     that analytically forbidden outcomes never occur in samples.
     """
-    grid = _distributions(correlation_model(cfg), [a.angle], [b.angle])
-    return dataclasses.replace(grid, signal=grid.signal[0], background=grid.background[0])
+    return _row(_distributions(correlation_model(cfg), [a.angle], [b.angle]), 0)
 
 
 def _distributions(model: CorrelationModel, grid_a, grid_b) -> ChannelDistributions:
@@ -110,6 +109,11 @@ def _distributions(model: CorrelationModel, grid_a, grid_b) -> ChannelDistributi
         signal=truncate(p_signal),
         background=truncate(p_background),
     )
+
+
+def _row(dists: ChannelDistributions, k: int) -> ChannelDistributions:
+    """The one-setting distributions of row k of grid distributions."""
+    return dataclasses.replace(dists, signal=dists.signal[k], background=dists.background[k])
 
 
 def _draw(dists: ChannelDistributions, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,14 +163,23 @@ def sample_coincidences(
     Deterministic for a given (seed, setting_index): all n trials come
     from the stream of (seed, setting_index << 32).
     """
+    return _sample(channel_distributions(cfg, a, b), a, b, n, seed, setting_index)
+
+
+def _sample(
+    dists: ChannelDistributions,
+    a: PolarizerAxis,
+    b: PolarizerAxis,
+    n: int,
+    seed: int,
+    setting_index: int,
+) -> SampleBatch:
+    """n coincidences from one setting's distributions, on that setting's stream."""
     if not 0 <= setting_index <= _MAX_UINT32:
         raise ValueError(f"setting index out of range: {setting_index!r}")
-    counts = _draw(channel_distributions(cfg, a, b), n, _stream(seed, setting_index << 32))
+    counts = _draw(dists, n, _stream(seed, setting_index << 32)).tolist()
     return SampleBatch(
-        n_pp=int(counts[0]),
-        n_pm=int(counts[1]),
-        n_mp=int(counts[2]),
-        n_mm=int(counts[3]),
+        *counts,
         settings=(a.angle, b.angle),
         seed_record=f"philox seed={seed} setting={setting_index}",
     )
@@ -197,14 +210,19 @@ def estimate_chsh(
     """Sampled CHSH sum and its standard error (quadrature over settings).
 
     Term i of :meth:`ChshConfiguration.terms` is sampled with setting
-    index i of the same seed.
+    index i of the same seed, as :func:`sample_coincidences` would.  The
+    distributions of all four terms come from one evaluation over the
+    terms' angles; term i is the diagonal entry (i, i), row 5 i.
     """
     terms = chsh.terms()
+    grid = _distributions(
+        correlation_model(cfg), [a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms]
+    )
     estimates = [
         estimate_correlator(
-            sample_coincidences(cfg, a, b, n_per_setting, seed, setting_index=idx)
+            _sample(_row(grid, i * (len(terms) + 1)), a, b, n_per_setting, seed, i)
         )
-        for idx, (a, b, _) in enumerate(terms)
+        for i, (a, b, _) in enumerate(terms)
     ]
     s_hat = sum(sign * est.e_hat for (_, _, sign), est in zip(terms, estimates))
     stderr = math.sqrt(sum(est.stderr**2 for est in estimates))

@@ -328,8 +328,10 @@ def extract_signal(
         raise ValueError(
             f"background_basis must be 'product' or 'scan', got {background_basis!r}"
         )
-    distinct = set()  # stops growing at 4; the else runs only when fewer exist
-    for setting in zip(scan.theta_a.tolist(), scan.theta_b.tolist()):
+    # rows are read lazily: the loop stops at the 4th distinct setting, and
+    # the else runs only when fewer exist
+    distinct = set()
+    for setting in zip(scan.theta_a, scan.theta_b):
         distinct.add(setting)
         if len(distinct) == 4:
             break

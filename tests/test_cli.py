@@ -567,6 +567,18 @@ def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("propagation.normalisation", "spherical"), ("rng.sead", 5)]
+)
+def test_misspelt_config_keys_exit_two(tmp_path, capsys, field, value):
+    # neither may fall back to its default (phase-only legs, seed 0)
+    path = write_variant(tmp_path, "bad.yaml", **{field: value})
+    assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"config error: {field}: unknown key" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", SUBCOMMANDS)
 def test_failed_output_write_leaves_no_manifest(config_path, scan_csv, tmp_path, argv):
     out = tmp_path / "taken"
@@ -731,3 +743,53 @@ def test_module_entry_point(config_path):
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "S = 1.096016 (analytic)"
+
+
+# argvs whose parse ends in help, a version or a usage error; no handler runs
+PARSE_EXITS = [
+    *([name, "--help"] for name in cli.COMMANDS),
+    [],
+    ["--help"],
+    ["-h"],
+    ["--version"],
+    ["--vers"],
+    ["survey", "--config", "x.yaml"],
+    ["chsh", "--version"],
+    ["--config", "x.yaml", "chsh"],
+    # a missing required option or positional
+    ["chsh"],
+    ["scan", "--config", "x.yaml", "--grid-a", "0:90:2", "--out", "o.csv"],
+    ["fit", "--beta1", "0", "--beta2", "0"],
+    ["hbt", "--config", "x.yaml", "--out", "o.csv"],
+    # a bad type= value or choice
+    ["chsh", "--config", "x.yaml", "--n", "many"],
+    ["scan", "--config", "x.yaml", "--grid-a", "0:90:2", "--grid-b", "0:90:2",
+     "--out", "o.csv", "--seed", "-1"],
+    ["fit", "s.csv", "--beta1", "nan", "--beta2", "0"],
+    ["fit", "s.csv", "--beta1", "0", "--beta2", "0", "--background-basis", "other"],
+    # an unrecognized option
+    ["chsh", "--config", "x.yaml", "--bogus"],
+    ["hbt", "--config", "x.yaml", "--baseline", "0:1:2", "--out", "o.csv", "--frob", "1"],
+    # an extra positional
+    ["chsh", "--config", "x.yaml", "extra"],
+    ["fit", "a.csv", "b.csv", "--beta1", "0", "--beta2", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=" ".join)
+def test_parse_matches_the_full_parser(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert run(argv) == (exc.value.code or EXIT_OK)
+    assert capsys.readouterr() == full
+
+
+def test_a_subcommand_run_builds_only_its_own_parser(config_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(["chsh", "--config", str(config_path)]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "S = 1.096016 (analytic)"

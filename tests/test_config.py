@@ -195,3 +195,27 @@ def test_optional_sections_may_be_absent():
     assert loaded.seed == 0
     assert loaded.experiment.propagator_normalization == "phase-only"
     assert loaded.experiment.background.w12 == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("", "entangled_fractoin"),
+        ("geometry", "wave_number"),
+        ("propagation", "normalisation"),
+        ("background", "alpha3"),
+        ("background.weights", "w13"),
+        ("chsh", "c_deg"),
+        ("rng", "sead"),
+    ],
+)
+def test_unknown_keys_are_refused_by_name(section, key):
+    doc = base_doc()
+    node = doc
+    for part in filter(None, section.split(".")):
+        node = node[part]
+    node[key] = 5
+    label = f"{section}.{key}" if section else key
+    with pytest.raises(ConfigError, match=f"^{re.escape(label)}: unknown key$"):
+        parse_config(doc)
+

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_config
+from helpers import far_field_geometry, make_config, random_geometry
 
 from skybell import (
     TSIRELSON_BOUND,
@@ -220,3 +220,28 @@ def test_stream_key_validation():
         1000 - n_signal, dists.background
     )
     assert (batch.n_pp, batch.n_pm, batch.n_mp, batch.n_mm) == tuple(counts)
+
+
+def test_chsh_terms_sample_as_single_settings():
+    # estimate_chsh draws each term from one batched model evaluation; the
+    # reference samples each term alone, so the sums must be equal bit for bit
+    rng = np.random.default_rng(12)
+    for trial in range(24):
+        scenario = ("I", "II")[trial % 2]
+        normalization = ("phase-only", "spherical")[trial // 2 % 2]
+        geometry = random_geometry(rng) if scenario == "I" else far_field_geometry(split=4.0)
+        cfg = make_config(scenario=scenario, bell_kind=1 + trial // 4 % 2,
+                          fraction=float(rng.uniform(0.1, 0.9)),
+                          alpha1=float(rng.uniform(0.0, 3.0)), alpha2=float(rng.uniform(0.0, 3.0)),
+                          axis1=float(rng.uniform(0.0, math.pi)),
+                          axis2=float(rng.uniform(0.0, math.pi)),
+                          geometry=geometry, normalization=normalization, w11=0.2, w22=0.1)
+        chsh = ChshConfiguration(*(PolarizerAxis(float(t)) for t in rng.uniform(-4.0, 4.0, 4)))
+        n, seed = int(rng.integers(1, 10**12)), int(rng.integers(0, 2**63))
+        estimates = [
+            estimate_correlator(sample_coincidences(cfg, a, b, n, seed, setting_index=i))
+            for i, (a, b, _) in enumerate(chsh.terms())
+        ]
+        s_ref = sum(sign * est.e_hat for (_, _, sign), est in zip(chsh.terms(), estimates))
+        stderr_ref = math.sqrt(sum(est.stderr**2 for est in estimates))
+        assert estimate_chsh(cfg, chsh, n, seed) == (s_ref, stderr_ref)
