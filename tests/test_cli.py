@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -620,6 +621,33 @@ def test_rerun_replaces_output_and_manifest_with_fresh_files(
     assert manifest["argv"] == second
     assert manifest["outputs"] == [str(out)] and out.exists()
     assert sorted(p.name for p in runs.iterdir()) == ["out", "out.manifest.json"]
+
+
+@pytest.mark.parametrize("argv, with_config, seed", [
+    (SUBCOMMANDS[0], True, 0),
+    (SUBCOMMANDS[0] + ["--n", "1000", "--seed", "7"], True, 7),
+    (SUBCOMMANDS[1], True, None),
+    (SUBCOMMANDS[1] + ["--n", "100", "--seed", "3"], True, 3),
+    (SUBCOMMANDS[2], False, None),
+    (SUBCOMMANDS[3], True, None),
+    (SUBCOMMANDS[3] + ["--random-phases", "--seed", "9"], True, 9),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_manifest_format_is_pinned(config_path, scan_csv, tmp_path, argv, with_config, seed):
+    out = tmp_path / "out"
+    argv = fill(argv, config_path, scan_csv) + ["--out", str(out)]
+    assert run(argv) == EXIT_OK
+    manifest = json.loads((tmp_path / "out.manifest.json").read_text(encoding="utf-8"))
+    created = manifest.pop("created_utc")
+    assert list(manifest.items()) == [
+        ("command", argv[0]),
+        ("argv", argv),
+        ("config_path", str(config_path) if with_config else None),
+        ("seed", seed),
+        ("outputs", [str(out)]),
+        ("tool", "skybell"),
+        ("version", skybell.__version__),
+    ]
+    assert datetime.fromisoformat(created).utcoffset() == timedelta(0)
 
 
 def refuse_temp_renames(monkeypatch, error):
