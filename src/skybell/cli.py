@@ -6,19 +6,19 @@ files carry a leading "# manifest: ..." comment pointing back at it.
 Floats are written with full repr precision so files round-trip exactly;
 each distinct value of a column is formatted once (``_csv_rows``).
 
-Every file is written by ``_write_text`` so that no rename lands on an
-existing name and nothing is truncated: the text goes to a new
-``<name>.tmp``, the previous file is moved aside to ``<name>.old``, the
-temp file is renamed onto the free name and the old file is unlinked.
-On ext4 (default ``auto_da_alloc``) truncating a file or renaming over one
-forces a writeback that blocks a re-run onto an existing output for tens
-of milliseconds per file; a run onto a new path never paid it.  A
-subcommand moves its previous manifest aside too and writes the new one
-last.  A run that raises (Ctrl-C included) puts the previous output and
-manifest back, and a killed one may leave them at ``<name>.old``, so a
-manifest never lists a file that was not written.  Nothing calls fsync:
-the files are not promised to survive a power loss, and a reader racing
-a re-run may briefly find no file.
+A run renders the whole text of its output, then ``_publish`` writes it
+and its manifest in one step (``_write_fresh``): both texts go to new
+``<name>.tmp`` files before anything is moved, the previous files are moved
+aside to ``<name>.old``, the temp files are renamed onto the free names and
+the old files are unlinked.  No rename lands on an existing name and
+nothing is truncated: on ext4 (default ``auto_da_alloc``) either forces a
+writeback that blocks a re-run onto an existing output for tens of
+milliseconds per file; a run onto a new path never paid it.  A run that
+raises (Ctrl-C included) leaves the previous output and manifest as they
+were, and a killed one may leave them at ``<name>.old``, so a manifest
+never lists a file that was not written.  Nothing calls fsync: the files
+are not promised to survive a power loss, and a reader racing a re-run may
+briefly find no file.
 
 Each call builds its argument parser anew and, when it names a
 subcommand, only that subcommand's parser (``COMMANDS``); the full tree is
@@ -76,89 +76,63 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Provenance record written alongside every output file."""
-
-    command: str
-    argv: list[str]
-    config_path: str | None
-    seed: int | None
-    outputs: list[str]
-    tool: str = "skybell"
-    version: str = __version__
-    created_utc: str = ""
-
-    def write(self, path: Path) -> None:
-        doc = dataclasses.asdict(self)
-        doc["created_utc"] = datetime.now(timezone.utc).isoformat()
-        _write_text(path, json.dumps(doc, indent=2) + "\n")
-
-
 def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
 
-@contextlib.contextmanager
-def _moved_aside(path: Path):
-    """Move ``path`` to ``<name>.old`` around the body, onto a free name.
+def _write_fresh(files) -> None:
+    """Write each ``(path, text)`` as a fresh file, all or none of them.
 
-    If the body fails, the old file is put back at ``path``; if it returns,
-    the old file is unlinked.  Only putting it back may rename over an
-    existing file.  A directory at ``path`` is refused, not moved.
+    Every text first goes to a new ``<name>.tmp``; only then is each
+    existing file moved aside to ``<name>.old`` and each temp file renamed
+    onto its free name, in list order, and the old files unlinked.  Stale
+    ``.tmp`` and ``.old`` files are removed before their names are used.
+    If anything raises, the temp and new files are removed and every moved
+    file is put back.  A directory at any path is refused, not moved.
     """
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    old = path.with_name(path.name + ".old")
-    old.unlink(missing_ok=True)
+    for path, _ in files:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    names = [(path, path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old"))
+             for path, _ in files]
+    moved, renamed = [], []
     try:
-        with contextlib.suppress(FileNotFoundError):
-            path.rename(old)
-        yield
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            old.replace(path)
-        raise
-    old.unlink(missing_ok=True)
-
-
-@contextlib.contextmanager
-def _manifested(out_path: Path, command: str, argv, config_path, seed):
-    """Around the write of ``out_path``: move its manifest aside, then write a new one.
-
-    The new manifest is written only if the body returns; if the body fails,
-    the previous manifest is put back beside the previous output, which
-    ``_write_text`` has put back too.
-    """
-    manifest = _manifest_path(out_path)
-    with _moved_aside(manifest):
-        yield
-    RunManifest(
-        command=command,
-        argv=list(argv),
-        config_path=str(config_path) if config_path else None,
-        seed=seed,
-        outputs=[str(out_path)],
-    ).write(manifest)
-
-
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` as a fresh file, never over the old one in place.
-
-    A stale ``<name>.tmp`` is removed and the text goes to a new one; the
-    old ``path`` is moved aside while the temp file is renamed onto the
-    free name.  A failed write leaves the previous ``path`` as it was and
-    no temp file.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.unlink(missing_ok=True)
-        tmp.write_text(text, encoding="utf-8")
-        with _moved_aside(path):
+        for (_, tmp, _), (_, text) in zip(names, files):
+            tmp.unlink(missing_ok=True)
+            tmp.write_text(text, encoding="utf-8")
+        for path, _, old in names:
+            old.unlink(missing_ok=True)
+            with contextlib.suppress(FileNotFoundError):
+                path.rename(old)
+                moved.append((old, path))
+        for path, tmp, _ in names:
             tmp.rename(path)
+            renamed.append(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for _, tmp, _ in names:
+            tmp.unlink(missing_ok=True)
+        for path in renamed:
+            path.unlink()
+        for old, path in moved:
+            old.rename(path)
         raise
+    for old, _ in moved:
+        old.unlink()
+
+
+def _publish(out: Path, text: str, command: str, argv, config_path, seed) -> None:
+    """Write ``text`` to ``out`` and its run manifest beside it, in one step."""
+    manifest = {
+        "command": command,
+        "argv": list(argv),
+        "config_path": str(config_path) if config_path else None,
+        "seed": seed,
+        "outputs": [str(out)],
+        "tool": "skybell",
+        "version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
+    _write_fresh([(out, text), (_manifest_path(out), json.dumps(manifest, indent=2) + "\n")])
 
 
 def _csv_rows(*columns):
@@ -184,11 +158,20 @@ def _csv_rows(*columns):
     return map(",".join, zip(*formatted))
 
 
-def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = None) -> None:
+def _csv_text(header, columns, manifest_name: str | None) -> str:
+    """A CSV file's text: an optional ``# manifest:`` line, the header, one line per row."""
     lines = [f"# manifest: {manifest_name}"] if manifest_name else []
-    lines.append(",".join(SCAN_CSV_COLUMNS))
-    lines += _csv_rows(*(getattr(scan, field.name) for field in dataclasses.fields(ScanResult)))
-    _write_text(path, "\n".join(lines) + "\n")
+    lines.append(",".join(header))
+    lines += _csv_rows(*columns)
+    return "\n".join(lines) + "\n"
+
+
+def _scan_columns(scan: ScanResult):
+    return (getattr(scan, field.name) for field in dataclasses.fields(ScanResult))
+
+
+def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = None) -> None:
+    _write_fresh([(path, _csv_text(SCAN_CSV_COLUMNS, _scan_columns(scan), manifest_name))])
 
 
 def _content_lines(lines):
@@ -360,8 +343,7 @@ def cmd_chsh(args, argv) -> int:
     if args.out:
         out = Path(args.out)
         report["manifest"] = _manifest_path(out).name
-        with _manifested(out, "chsh", argv, args.config, seed):
-            _write_text(out, json.dumps(report, indent=2) + "\n")
+        _publish(out, json.dumps(report, indent=2) + "\n", "chsh", argv, args.config, seed)
     return EXIT_OK
 
 
@@ -376,8 +358,8 @@ def cmd_scan(args, argv) -> int:
         scan = angular_scan(loaded.experiment, grid_a, grid_b)
 
     out = Path(args.out)
-    with _manifested(out, "scan", argv, args.config, seed if args.n else None):
-        write_scan_csv(out, scan, manifest_name=_manifest_path(out).name)
+    text = _csv_text(SCAN_CSV_COLUMNS, _scan_columns(scan), _manifest_path(out).name)
+    _publish(out, text, "scan", argv, args.config, seed if args.n else None)
     print(f"wrote {len(scan)} rows to {out}")
     return EXIT_OK
 
@@ -394,8 +376,7 @@ def cmd_fit(args, argv) -> int:
     if args.out:
         out = Path(args.out)
         doc["manifest"] = _manifest_path(out).name
-        with _manifested(out, "fit", argv, None, None):
-            _write_text(out, json.dumps(doc, indent=2) + "\n")
+        _publish(out, json.dumps(doc, indent=2) + "\n", "fit", argv, None, None)
     print(
         f"S_hat = {report.s_hat:.6f}  B_hat = {report.b_hat:.6f}  "
         f"residual_rms = {report.residual_rms:.3e}  bell_S = {report.bell_s:.6f}"
@@ -427,10 +408,9 @@ def cmd_hbt(args, argv) -> int:
     fringe = hbt_scan(geometry, detector_b, phases[:, 0], phases[:, 1], normalization)
 
     out = Path(args.out)
-    lines = [f"# manifest: {_manifest_path(out).name}", ",".join(HBT_CSV_COLUMNS)]
-    lines += _csv_rows(lengths, fringe.total, fringe.interference)
-    with _manifested(out, "hbt", argv, args.config, seed if args.random_phases else None):
-        _write_text(out, "\n".join(lines) + "\n")
+    columns = (lengths, fringe.total, fringe.interference)
+    text = _csv_text(HBT_CSV_COLUMNS, columns, _manifest_path(out).name)
+    _publish(out, text, "hbt", argv, args.config, seed if args.random_phases else None)
     print(f"wrote {len(lengths)} rows to {out}")
     return EXIT_OK
 

@@ -17,7 +17,7 @@ import yaml
 from .background import BackgroundSpec
 from .errors import ConfigError
 from .polarization import ChshConfiguration, PolarizerAxis
-from .propagation import Geometry
+from .propagation import NORMALIZATIONS, Geometry
 from .scenarios import ExperimentConfig
 
 SCHEMA_VERSION = 1
@@ -107,7 +107,8 @@ def parse_config(doc: dict) -> LoadedConfig:
         raise ConfigError("config root must be a mapping")
 
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # integers are exactly int: a YAML boolean is a bool and 1.0 a float
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
@@ -145,6 +146,10 @@ def parse_config(doc: dict) -> LoadedConfig:
 
     prop = _section(doc, "propagation", required=False)
     normalization = prop.get("normalization", "phase-only")
+    if normalization not in NORMALIZATIONS:
+        raise ConfigError(
+            f"propagation.normalization: must be one of {NORMALIZATIONS}, got {normalization!r}"
+        )
 
     try:
         experiment = ExperimentConfig(
@@ -175,7 +180,7 @@ def parse_config(doc: dict) -> LoadedConfig:
 
     rng = _section(doc, "rng", required=False)
     seed = rng.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if type(seed) is not int or not 0 <= seed < 2**64:
         raise ConfigError(f"rng.seed: must be an integer in [0, 2^64), got {seed!r}")
 
     return LoadedConfig(experiment=experiment, chsh=chsh, seed=seed)

@@ -70,7 +70,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if isinstance(self.bell_kind, bool) or self.bell_kind not in (1, 2):
+        if type(self.bell_kind) is not int or self.bell_kind not in (1, 2):
             raise ValueError(f"bell_kind must be 1 or 2, got {self.bell_kind!r}")
         f = float(self.entangled_fraction)
         if not math.isfinite(f) or not 0.0 <= f <= 1.0:
@@ -349,7 +349,7 @@ def extract_signal(
         bg_name = "scan background correlator column"
     design = np.column_stack([signal_col, bg_col])
 
-    singular_values = np.linalg.svd(design, compute_uv=False)
+    coef, _, _, singular_values = np.linalg.lstsq(design, scan.e, rcond=None)
     if singular_values[1] < _RANK_TOL:
         norm_signal = float(np.linalg.norm(signal_col))
         norm_bg = float(np.linalg.norm(bg_col))
@@ -365,7 +365,6 @@ def extract_signal(
             )
         raise DegenerateDesignError(direction, singular_values[1])
 
-    coef, _, _, _ = np.linalg.lstsq(design, scan.e, rcond=None)
     residual = scan.e - design @ coef
     residual_rms = float(np.sqrt(np.mean(residual**2)))
     s_hat = float(coef[0])

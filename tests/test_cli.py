@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -560,6 +561,9 @@ def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
         ("background.alpha1", math.nan),
         ("geometry.source1", [True, 0.0, 1000.0]),
         ("geometry.detector_a", ["-1", 0.0, 0.0]),
+        ("propagation.normalization", "sph"),
+        ("bell_kind", 2.0),
+        ("schema_version", 1.0),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
@@ -709,6 +713,71 @@ def test_failed_rename_keeps_previous_output_and_manifest(
             run(second)
     assert [out.read_bytes(), manifest_path.read_bytes()] == old_bytes
     assert sorted(p.name for p in runs.iterdir()) == ["out", "out.manifest.json"]
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_failed_manifest_write_keeps_previous_output_and_manifest(
+    config_path, scan_csv, tmp_path, monkeypatch, argv, error
+):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "out"
+    manifest_path = runs / "out.manifest.json"
+    first, second = (fill(a, config_path, scan_csv) + ["--out", str(out)]
+                     for a in (argv, RERUN_SUBCOMMANDS[SUBCOMMANDS.index(argv)]))
+    assert run(first) == EXIT_OK
+    old_bytes = [out.read_bytes(), manifest_path.read_bytes()]
+
+    write_text = Path.write_text
+
+    def disk_full_at_manifest(self, *args, **kwargs):
+        if self.name.endswith(".manifest.json.tmp"):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)) if error is OSError else error
+        return write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full_at_manifest)
+    # both texts are written before any file is moved, so nothing is renamed
+    monkeypatch.setattr(Path, "rename", lambda self, target: pytest.fail(f"renamed {self}"))
+    if error is OSError:
+        assert run(second) == EXIT_IO
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run(second)
+    assert [out.read_bytes(), manifest_path.read_bytes()] == old_bytes
+    assert sorted(p.name for p in runs.iterdir()) == ["out", "out.manifest.json"]
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["first run", "re-run"])
+def test_failed_manifest_rename_takes_the_new_output_back(config_path, tmp_path, monkeypatch, rerun):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    argv = ["scan", "--config", str(config_path), "--grid-a", "0:90:2",
+            "--grid-b", "0:90:2", "--out", str(runs / "scan.csv")]
+    if rerun:
+        assert run(argv[:4] + ["0:90:3"] + argv[5:]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in runs.iterdir()}
+    rename = Path.rename
+
+    def refuse_manifest(self, target):
+        if self.name.endswith(".manifest.json.tmp"):
+            raise OSError(errno.EIO, f"cannot rename {self} to {target}")
+        return rename(self, target)
+
+    # the output is already renamed onto its name when its manifest fails
+    monkeypatch.setattr(Path, "rename", refuse_manifest)
+    assert run(argv) == EXIT_IO
+    assert {p.name: p.read_bytes() for p in runs.iterdir()} == before
+
+
+def test_a_directory_at_the_manifest_path_exits_four(config_path, tmp_path):
+    out = tmp_path / "scan.csv"
+    (tmp_path / "scan.csv.manifest.json").mkdir()
+    argv = ["scan", "--config", str(config_path), "--grid-a", "0:90:2",
+            "--grid-b", "0:90:2", "--out", str(out)]
+    assert run(argv) == EXIT_IO
+    assert [p.name for p in tmp_path.glob("scan.csv*")] == ["scan.csv.manifest.json"]
+    assert (tmp_path / "scan.csv.manifest.json").is_dir()
 
 
 def test_config_that_is_not_utf8_exits_two(config_path, capsys):
