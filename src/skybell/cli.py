@@ -47,27 +47,17 @@ import numpy as np
 from . import __version__
 from .config import LoadedConfig, load_config
 from .errors import ConfigError, SkybellError
-from .montecarlo import MAX_SAMPLE_SIZE, estimate_chsh, sample_scan
+from .montecarlo import MAX_SAMPLE_SIZE, _stream, estimate_chsh, sample_scan
 from .polarization import ChshConfiguration, PolarizerAxis
 from .propagation import hbt_scan
 from .scenarios import (
-    E_TOL,
+    SCAN_CSV_COLUMNS,
     ScanResult,
     angular_scan,
     chsh_with_background,
     extract_signal,
 )
 
-#: Scan CSV header; column i holds field i of ScanResult (names lower-cased).
-SCAN_CSV_COLUMNS = (
-    "theta_a",
-    "theta_b",
-    "E",
-    "E_signal",
-    "E_background",
-    "w_signal",
-    "w_background",
-)
 HBT_CSV_COLUMNS = ("baseline_length", "total_intensity", "interference_term")
 
 EXIT_OK = 0
@@ -97,9 +87,13 @@ def _write_fresh(files) -> None:
              for path, _ in files]
     moved, renamed = [], []
     try:
-        for (_, tmp, _), (_, text) in zip(names, files):
-            tmp.unlink(missing_ok=True)
-            tmp.write_text(text, encoding="utf-8")
+        for (path, tmp, _), (_, text) in zip(names, files):
+            try:
+                tmp.unlink(missing_ok=True)
+                tmp.write_text(text, encoding="utf-8")
+            except OSError as exc:  # name the file asked for, not its temp file
+                exc.filename = str(path)
+                raise
         for path, _, old in names:
             old.unlink(missing_ok=True)
             with contextlib.suppress(FileNotFoundError):
@@ -170,8 +164,8 @@ def _scan_columns(scan: ScanResult):
     return (getattr(scan, field.name) for field in dataclasses.fields(ScanResult))
 
 
-def write_scan_csv(path: Path, scan: ScanResult, manifest_name: str | None = None) -> None:
-    _write_fresh([(path, _csv_text(SCAN_CSV_COLUMNS, _scan_columns(scan), manifest_name))])
+def write_scan_csv(path: Path, scan: ScanResult) -> None:
+    _write_fresh([(path, _csv_text(SCAN_CSV_COLUMNS, _scan_columns(scan), None))])
 
 
 def _content_lines(lines):
@@ -209,25 +203,11 @@ def read_scan_csv(path: Path) -> ScanResult:
     refuses them is the file read again to quote the first malformed row.
     """
     try:
-        data = _scan_rows(path)
+        return ScanResult(*_scan_rows(path).T)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"scan file {path}: not UTF-8 text ({exc.reason})") from exc
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ConfigError(
-            f"scan file {path}: data row {row + 1}, column {SCAN_CSV_COLUMNS[col]}: "
-            f"non-finite value {float(data[row, col])!r}"
-        )
-    e = data[:, SCAN_CSV_COLUMNS.index("E")]
-    over = np.flatnonzero(np.abs(e) > 1.0 + E_TOL)
-    if over.size:
-        row = over[0]
-        raise ConfigError(
-            f"scan file {path}: data row {row + 1}, column E: "
-            f"correlator {float(e[row])!r} leaves [-1, 1]"
-        )
-    return ScanResult(*data.T)
+    except ValueError as exc:
+        raise ConfigError(f"scan file {path}: {exc}") from exc
 
 
 def _scan_rows(path: Path) -> np.ndarray:
@@ -255,12 +235,9 @@ def _scan_rows(path: Path) -> np.ndarray:
 
 def _parse_grid(text: str, flag: str) -> np.ndarray:
     """Parse 'start:stop:steps' into an inclusive, evenly spaced grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{flag}: expected start:stop:steps, got {text!r}")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
+        start, stop, steps = text.split(":")
+        start, stop, steps = float(start), float(stop), int(steps)
     except ValueError:
         raise ConfigError(f"{flag}: expected start:stop:steps, got {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -269,6 +246,10 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise ConfigError(f"{flag}: the span stop - start overflows, got {text!r}")
     if steps < 1:
         raise ConfigError(f"{flag}: steps must be >= 1, got {steps}")
+    # linspace sizes its array by float(steps), which is 2^60 from 2^60 - 64 on:
+    # 2^63 bytes of float64, one more than numpy allows (it raises ValueError)
+    if steps > 2**60 - 65:
+        raise MemoryError(f"{flag}: at most {2**60 - 65} steps, got {steps}")
     # a finite span near the float limit can overflow in linspace's
     # i * step + start only for the last point, which it then sets to stop
     with np.errstate(over="ignore"):
@@ -299,21 +280,13 @@ _finite_float = _argument_type(float, math.isfinite, "a finite number")
 
 
 def _parse_angles(text: str) -> ChshConfiguration:
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise ConfigError(f"--angles: expected a:a':b:b' in degrees, got {text!r}")
     try:
-        vals = [math.radians(float(v)) for v in parts]
+        a, a_prime, b, b_prime = (math.radians(float(v)) for v in text.split(":"))
     except ValueError:
         raise ConfigError(f"--angles: expected a:a':b:b' in degrees, got {text!r}") from None
-    if not all(map(math.isfinite, vals)):
+    if not all(map(math.isfinite, (a, a_prime, b, b_prime))):
         raise ConfigError(f"--angles: angles must be finite, got {text!r}")
-    return ChshConfiguration(
-        a=PolarizerAxis(vals[0]),
-        a_prime=PolarizerAxis(vals[1]),
-        b=PolarizerAxis(vals[2]),
-        b_prime=PolarizerAxis(vals[3]),
-    )
+    return ChshConfiguration(*map(PolarizerAxis, (a, a_prime, b, b_prime)))
 
 
 def _load(args) -> tuple[LoadedConfig, int]:
@@ -400,9 +373,8 @@ def cmd_hbt(args, argv) -> int:
     lengths = _parse_grid(args.baseline, "--baseline")
     phases = np.zeros((len(lengths), 2))
     if args.random_phases:
-        # one (n, 2) block is the same stream as a size=2 draw per row
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=phases.shape)
+        # CHSH term 0's stream; one (n, 2) block equals a size=2 draw per row
+        phases = _stream(seed, 0).uniform(0.0, 2.0 * math.pi, size=phases.shape)
     detector_b = geometry.detector_a + lengths[:, None] * (baseline / length)
     normalization = loaded.experiment.propagator_normalization
     fringe = hbt_scan(geometry, detector_b, phases[:, 0], phases[:, 1], normalization)

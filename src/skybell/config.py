@@ -78,18 +78,26 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value, label: str) -> float:
+    """A config number as a float; an int beyond float range is not finite."""
+    if not _is_number(value):
+        raise ConfigError(f"{label}: must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{label}: must be finite, got {value!r}")
+    return number
+
+
 def _number(section: dict, path: str, key: str, default=None) -> float:
     label = f"{path}.{key}" if path else key
     if key not in section:
         if default is None:
             raise ConfigError(f"{label}: missing required value")
         return float(default)
-    value = section[key]
-    if not _is_number(value):
-        raise ConfigError(f"{label}: must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{label}: must be finite, got {value!r}")
-    return float(value)
+    return _float(section[key], label)
 
 
 def _point(section: dict, path: str, key: str) -> np.ndarray:
@@ -98,7 +106,7 @@ def _point(section: dict, path: str, key: str) -> np.ndarray:
     value = section[key]
     if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_is_number, value))):
         raise ConfigError(f"{path}.{key}: must be a list of 3 numbers, got {value!r}")
-    return np.array(value, dtype=float)
+    return np.array([_float(v, f"{path}.{key}") for v in value])
 
 
 def parse_config(doc: dict) -> LoadedConfig:
@@ -253,29 +261,3 @@ def dump_config(loaded: LoadedConfig) -> str:
     }
     return yaml.safe_dump(doc, sort_keys=False)
 
-
-def default_config() -> LoadedConfig:
-    """A ready-to-run wide-separation example configuration."""
-    geometry = Geometry(
-        source1=np.array([-5.0, 0.0, 1000.0]),
-        source2=np.array([5.0, 0.0, 1000.0]),
-        detector_a=np.array([-1.0, 0.0, 0.0]),
-        detector_b=np.array([1.0, 0.0, 0.0]),
-        wavenumber=2.0 * math.pi,
-    )
-    background = BackgroundSpec(
-        axis1=PolarizerAxis(0.0),
-        axis2=PolarizerAxis(0.0),
-        alpha1=1.0,
-        alpha2=1.0,
-    )
-    experiment = ExperimentConfig(
-        scenario="II",
-        bell_kind=1,
-        entangled_fraction=0.3,
-        background=background,
-        geometry=geometry,
-    )
-    return LoadedConfig(
-        experiment=experiment, chsh=ChshConfiguration.saturating(), seed=0
-    )

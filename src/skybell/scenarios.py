@@ -88,18 +88,14 @@ class ExperimentConfig:
         return _build_model(self)
 
 
-def effective_amplitudes(
-    cfg: ExperimentConfig, phi1: float = 0.0, phi2: float = 0.0
-) -> PathAmplitudeSet:
-    """Leg amplitudes for the config, cross legs masked in scenario II.
+def effective_amplitudes(cfg: ExperimentConfig) -> PathAmplitudeSet:
+    """Leg amplitudes for the config at zero source phases, cross legs masked in scenario II.
 
-    No observable downstream depends on phi1/phi2: the source phases
-    enter every retained quantity through magnitudes or the closed loop,
-    where they cancel.
+    No observable downstream depends on the source phases: they enter
+    every retained quantity through magnitudes or the closed loop, where
+    they cancel.
     """
-    amps = path_amplitudes(
-        cfg.geometry, phi1=phi1, phi2=phi2, normalization=cfg.propagator_normalization
-    )
+    amps = path_amplitudes(cfg.geometry, normalization=cfg.propagator_normalization)
     if cfg.scenario == "II":
         amps = scenario2_mask(amps)
     return amps
@@ -137,12 +133,26 @@ def coincidence_correlator(
     )
 
 
+#: Scan CSV header; column i holds field i of ScanResult (names lower-cased).
+SCAN_CSV_COLUMNS = (
+    "theta_a",
+    "theta_b",
+    "E",
+    "E_signal",
+    "E_background",
+    "w_signal",
+    "w_background",
+)
+
+
 @dataclass(eq=False)
 class ScanResult:
     """Row-major table of correlators over a polarizer-angle grid.
 
     Rows are ordered with theta_a as the outer loop and theta_b inner,
-    matching the CSV layout written by the command-line tool.
+    matching the CSV layout written by the command-line tool.  The first
+    non-finite value in row order, else |E| > 1 + E_TOL, is refused by
+    data row (from 1) and CSV column.
     """
 
     theta_a: np.ndarray
@@ -161,12 +171,18 @@ class ScanResult:
             raise ValueError("scan columns must be 1-D arrays of equal length")
         if n == 0:
             raise ValueError("scan must contain at least one row")
-        for name, arr in zip(names, arrays):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"scan column {name} holds a non-finite value")
+        row = n  # of the first non-finite value; an earlier column wins a tie
+        for name, column, arr in zip(names, SCAN_CSV_COLUMNS, arrays):
+            finite = np.isfinite(arr)
+            if not finite[:row].all():
+                row = int(np.argmin(finite))
+                bad = f"column {column}: non-finite value {float(arr[row])!r}"
             setattr(self, name, arr)
-        if np.max(np.abs(self.e)) > 1.0 + E_TOL:
-            raise ValueError("correlator column leaves [-1, 1]")
+        if row == n and (over := np.abs(self.e) > 1.0 + E_TOL).any():
+            row = int(np.argmax(over))
+            bad = f"column E: correlator {float(self.e[row])!r} leaves [-1, 1]"
+        if row < n:
+            raise ValueError(f"data row {row + 1}, {bad}")
 
     def __len__(self) -> int:
         return int(self.theta_a.shape[0])
@@ -206,8 +222,6 @@ class CorrelationModel:
         """The analytic scan over two angle grids, in row-major order."""
         grid_a = np.array([float(x) for x in grid_a])
         grid_b = np.array([float(x) for x in grid_b])
-        if not grid_a.size or not grid_b.size:
-            raise ValueError("scan grids must be non-empty")
         e, e_signal, e_background = self.correlators(grid_a, grid_b)
         theta_a, theta_b = np.meshgrid(grid_a, grid_b, indexing="ij")
         return ScanResult(

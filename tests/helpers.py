@@ -1,10 +1,25 @@
 """Shared builders for the test suite."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
+import yaml
 
 from skybell import BackgroundSpec, ExperimentConfig, Geometry, PolarizerAxis
+from skybell.config import parse_config
+
+
+def readme_example():
+    """The YAML run configuration shown in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.search(r"```yaml\n(.*?)```", readme, re.DOTALL).group(1)
+
+
+def readme_config():
+    """The README example configuration, parsed."""
+    return parse_config(yaml.safe_load(readme_example()))
 
 
 def far_field_geometry(split=10.0, distance=1000.0, baseline=2.0, wavenumber=2.0 * math.pi):

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 import yaml
 
+from helpers import readme_config
+
 import skybell
 from skybell import cli, scenarios
 from skybell.cli import (
@@ -24,13 +26,13 @@ from skybell.cli import (
     read_scan_csv,
     run,
 )
-from skybell.config import default_config, dump_config
+from skybell.config import dump_config
 
 
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text(dump_config(default_config()), encoding="utf-8")
+    path.write_text(dump_config(readme_config()), encoding="utf-8")
     return path
 
 
@@ -64,7 +66,7 @@ def fill(argv, config, scan):
 
 
 def write_variant(tmp_path, name, **updates):
-    doc = yaml.safe_load(dump_config(default_config()))
+    doc = yaml.safe_load(dump_config(readme_config()))
     for key, value in updates.items():
         node = doc
         parts = key.split(".")
@@ -124,7 +126,7 @@ def test_chsh_monte_carlo_report(config_path, tmp_path, capsys):
 
 
 def test_chsh_missing_config_field(tmp_path, capsys):
-    doc = yaml.safe_load(dump_config(default_config()))
+    doc = yaml.safe_load(dump_config(readme_config()))
     del doc["entangled_fraction"]
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
@@ -189,7 +191,7 @@ def test_scan_round_trips_exact_floats(config_path, tmp_path):
     from skybell import angular_scan
 
     direct = angular_scan(
-        default_config().experiment,
+        readme_config().experiment,
         np.deg2rad(np.linspace(0.0, 170.0, 8)),
         np.deg2rad(np.linspace(0.0, 170.0, 8)),
     )
@@ -237,22 +239,52 @@ def test_grid_span_that_overflows_exits_two(config_path, tmp_path, capsys, flag,
     assert not out.exists()
 
 
+# step counts from 2^60 - 64 on, which no float64 array can hold, are refused
+# before anything is allocated
+UNHOLDABLE_STEPS = {"2^60-64": 2**60 - 64, "2^60": 2**60, "1e20": 10**20,
+                    "2^63-1": 2**63 - 1, "2^63": 2**63}
+
+
 # 7.11 PiB and 7.28 TiB exceed an ordinary host's memory, so the allocator refuses
 # them at once and no page is ever touched
-@pytest.mark.parametrize("argv", [
-    pytest.param(argv, id=name) for name, argv in (
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(argv, None, id=name) for name, argv in (
         ("grid-a", ["scan", "--grid-a", "0:1:1000000000000000", "--grid-b", "0:90:2"]),
         ("outer-product", ["scan", "--grid-a", "0:1:1000000", "--grid-b", "0:1:1000000"]),
         ("baseline", ["hbt", "--baseline", "0:1:1000000000000000"]),
     )
+] + [
+    pytest.param(argv, flag, id=f"{flag[2:]}-{name}")
+    for name, steps in UNHOLDABLE_STEPS.items()
+    for flag, argv in (
+        ("--grid-a", ["scan", "--grid-a", f"0:1:{steps}", "--grid-b", "0:90:2"]),
+        ("--baseline", ["hbt", "--baseline", f"0:1:{steps}"]),
+    )
 ])
-def test_sizes_that_cannot_be_allocated_exit_two(config_path, tmp_path, capsys, argv):
+def test_sizes_that_cannot_be_allocated_exit_two(config_path, tmp_path, capsys, argv, flag):
     out = tmp_path / "x.csv"
     assert run([*argv, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: the requested sizes do not fit in memory")
     assert err.count("\n") == 1
     assert not out.exists()
+    if flag:
+        assert f"({flag}: at most {2**60 - 65} steps" in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    pytest.param(argv, flag, value, id=flag[2:]) for argv, flag, value in (
+        (["scan", "--grid-b", "0:90:2"], "--grid-a", "-45:45:7"),
+        (["hbt"], "--baseline", "-5:5:3"),
+        (["chsh"], "--angles", "-22.5:22.5:0:45"),
+    )
+])
+def test_a_negative_start_needs_an_equals_sign(config_path, tmp_path, capsys, argv, flag, value):
+    argv = [*argv, "--config", str(config_path), "--out", str(tmp_path / "out")]
+    # argparse reads "-45:..." as an option, not as the flag's value
+    assert run([*argv, flag, value]) == EXIT_CONFIG
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    assert run([*argv, f"{flag}={value}"]) == EXIT_OK
 
 
 def test_grid_near_the_float_limit_parses_without_warning():
@@ -430,6 +462,17 @@ def test_fit_rejects_a_correlator_beyond_one(tmp_path, capsys):
     assert "data row 2, column E: correlator 2.0 leaves [-1, 1]" in err
 
 
+def test_fit_names_the_first_non_finite_value_in_row_order(scan_csv, capsys):
+    lines = scan_csv.read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines[2:4]]
+    rows[0][SCAN_CSV_COLUMNS.index("w_background")] = "nan"
+    rows[1][SCAN_CSV_COLUMNS.index("theta_a")] = "inf"
+    for index, row in enumerate(rows):
+        replace_data_row(scan_csv, index, ",".join(row))
+    err = fit_fails_on(scan_csv, capsys)
+    assert f"scan file {scan_csv}: data row 1, column w_background: non-finite value nan" in err
+
+
 def test_fit_rejects_a_scan_that_is_not_utf8(scan_csv, capsys):
     scan_csv.write_bytes(scan_csv.read_bytes() + b"0,0,0.5,0,0,0,0\xff\n")
     assert "not UTF-8 text" in fit_fails_on(scan_csv, capsys)
@@ -564,6 +607,10 @@ def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
         ("propagation.normalization", "sph"),
         ("bell_kind", 2.0),
         ("schema_version", 1.0),
+        # a 401-digit integer is beyond float range
+        pytest.param("geometry.wavenumber", 10**400, id="geometry.wavenumber-10^400"),
+        pytest.param("geometry.source1", [10**400, 0.0, 1000.0], id="geometry.source1-10^400"),
+        pytest.param("background.alpha1", 10**400, id="background.alpha1-10^400"),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
@@ -592,6 +639,17 @@ def test_failed_output_write_leaves_no_manifest(config_path, scan_csv, tmp_path,
     assert not (tmp_path / "taken.manifest.json").exists()
     assert not (tmp_path / "taken.tmp").exists()
     assert out.is_dir() and not (tmp_path / "taken.old").exists()
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_an_unwritable_out_is_named_not_its_temp_file(config_path, scan_csv, tmp_path, capsys,
+                                                      argv):
+    out = tmp_path / "missing" / "r.json"
+    capsys.readouterr()
+    assert run(fill(argv, config_path, scan_csv) + ["--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and f"{str(out)!r}" in err
+    assert f"{out}.tmp" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,15 @@
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from helpers import flatten
+from helpers import flatten, readme_config, readme_example
 
 from skybell import ConfigError, config
 from skybell.config import (
     SCHEMA_VERSION,
-    default_config,
     dump_config,
     load_config,
     parse_config,
@@ -19,11 +17,11 @@ from skybell.config import (
 
 
 def base_doc():
-    return yaml.safe_load(dump_config(default_config()))
+    return yaml.safe_load(dump_config(readme_config()))
 
 
 def test_default_config_values():
-    loaded = default_config()
+    loaded = readme_config()
     exp = loaded.experiment
     assert exp.scenario == "II"
     assert exp.bell_kind == 1
@@ -35,7 +33,7 @@ def test_default_config_values():
 
 
 def test_round_trip_through_yaml():
-    loaded = default_config()
+    loaded = readme_config()
     doc = yaml.safe_load(dump_config(loaded))
     assert doc["schema_version"] == SCHEMA_VERSION
     back = parse_config(doc)
@@ -56,19 +54,13 @@ def test_round_trip_through_yaml():
 
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "run.yaml"
-    path.write_text(dump_config(default_config()), encoding="utf-8")
+    path.write_text(dump_config(readme_config()), encoding="utf-8")
     loaded = load_config(path)
     assert loaded.experiment.scenario == "II"
 
 
-def readme_example():
-    """The YAML run configuration shown in README.md."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return re.search(r"```yaml\n(.*?)```", readme, re.DOTALL).group(1)
-
-
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
-@pytest.mark.parametrize("text", [readme_example(), dump_config(default_config())],
+@pytest.mark.parametrize("text", [readme_example(), dump_config(readme_config())],
                          ids=["readme-example", "default-dump"])
 def test_libyaml_and_python_loaders_agree(text):
     docs = [yaml.load(text, Loader=loader) for loader in (yaml.CSafeLoader, yaml.SafeLoader)]

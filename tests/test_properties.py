@@ -163,7 +163,7 @@ def test_scan_csv_round_trips_bitwise(data, rows):
     })
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scan.csv"
-        write_scan_csv(path, scan, manifest_name="scan.csv.manifest.json")
+        write_scan_csv(path, scan)
         back = read_scan_csv(path)
     for name in SCAN_FIELDS:
         assert bits(getattr(back, name).tolist()) == bits(getattr(scan, name).tolist())

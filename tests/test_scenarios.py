@@ -229,7 +229,17 @@ def test_scan_result_rejects_non_finite_values(column, value):
     cols = {name: np.zeros(3) for name in
             ("theta_a", "theta_b", "e", "e_signal", "e_background", "w_signal", "w_background")}
     cols[column][1] = value
-    with pytest.raises(ValueError, match=column):
+    csv_column = {"e": "E"}.get(column, column)
+    with pytest.raises(ValueError, match=f"^data row 2, column {csv_column}: non-finite value"):
+        ScanResult(**cols)
+
+
+def test_scan_result_names_the_first_non_finite_value_in_row_order():
+    cols = {name: np.zeros(3) for name in
+            ("theta_a", "theta_b", "e", "e_signal", "e_background", "w_signal", "w_background")}
+    cols["w_background"][0] = math.nan
+    cols["theta_a"][1] = math.inf
+    with pytest.raises(ValueError, match=r"^data row 1, column w_background: non-finite value nan$"):
         ScanResult(**cols)
 
 
