@@ -5,125 +5,27 @@ detectors: entangled-pair CHSH correlators, scalar path amplitudes and
 intensity interference, a partially polarized unentangled background,
 rate-weighted signal/background mixtures over two viewing scenarios,
 counter-based Monte Carlo sampling, and a small CLI.
+
+The supported API is ``__all__``: the version plus the ``__all__`` of each
+library module, which lists that module's public names.
 """
 
 __version__ = "0.1.0"
 
-from .background import (
-    BackgroundSpec,
-    background_correlator,
-    effective_density_matrix,
-    interference_trace,
-    polarizer_trace,
-)
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    DegenerateDesignError,
-    SkybellError,
-)
-from .montecarlo import (
-    EstimatedCorrelator,
-    SampleBatch,
-    channel_distributions,
-    estimate_chsh,
-    estimate_correlator,
-    sample_coincidences,
-    sample_scan,
-)
-from .polarization import (
-    TSIRELSON_BOUND,
-    ChshConfiguration,
-    PolarizerAxis,
-    Projector,
-    SourceDensityMatrix,
-    TwoPhotonPureState,
-    axis_angle_between,
-    bell_state,
-    chsh_expectation,
-    chsh_operator,
-    chsh_operator_square,
-    chsh_square_spectral_bound,
-    correlator,
-    joint_outcome_probability,
-    outcome_projector,
-    projector_from_axis,
-    source_density,
-)
-from .propagation import (
-    Geometry,
-    HbtIntensity,
-    PathAmplitudeSet,
-    entangled_pair_weight,
-    hbt_intensity,
-    path_amplitudes,
-    propagate_pair,
-    scenario2_mask,
-)
-from .scenarios import (
-    CorrelatorParts,
-    ExperimentConfig,
-    FitReport,
-    ScanResult,
-    angular_scan,
-    chsh_with_background,
-    coincidence_correlator,
-    effective_amplitudes,
-    extract_signal,
-    null_background_axes,
-)
+from . import background, errors, montecarlo, polarization, propagation, scenarios
+from .background import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .polarization import *  # noqa: F403
+from .propagation import *  # noqa: F403
+from .scenarios import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "TSIRELSON_BOUND",
-    "BackgroundSpec",
-    "ChshConfiguration",
-    "ConfigError",
-    "ConsistencyError",
-    "CorrelatorParts",
-    "DegenerateDesignError",
-    "EstimatedCorrelator",
-    "ExperimentConfig",
-    "FitReport",
-    "Geometry",
-    "HbtIntensity",
-    "PathAmplitudeSet",
-    "PolarizerAxis",
-    "Projector",
-    "SampleBatch",
-    "ScanResult",
-    "SkybellError",
-    "SourceDensityMatrix",
-    "TwoPhotonPureState",
-    "angular_scan",
-    "axis_angle_between",
-    "background_correlator",
-    "bell_state",
-    "channel_distributions",
-    "chsh_expectation",
-    "chsh_operator",
-    "chsh_operator_square",
-    "chsh_square_spectral_bound",
-    "chsh_with_background",
-    "coincidence_correlator",
-    "correlator",
-    "effective_amplitudes",
-    "effective_density_matrix",
-    "entangled_pair_weight",
-    "estimate_chsh",
-    "estimate_correlator",
-    "extract_signal",
-    "hbt_intensity",
-    "interference_trace",
-    "joint_outcome_probability",
-    "null_background_axes",
-    "outcome_projector",
-    "path_amplitudes",
-    "polarizer_trace",
-    "projector_from_axis",
-    "propagate_pair",
-    "sample_coincidences",
-    "sample_scan",
-    "scenario2_mask",
-    "source_density",
+    *background.__all__,
+    *errors.__all__,
+    *montecarlo.__all__,
+    *polarization.__all__,
+    *propagation.__all__,
+    *scenarios.__all__,
 ]

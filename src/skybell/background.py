@@ -52,6 +52,11 @@ from .polarization import (
 )
 from .propagation import PathAmplitudeSet
 
+__all__ = [
+    "BackgroundSpec", "background_correlator", "effective_density_matrix",
+    "interference_trace", "polarizer_trace",
+]
+
 _NEGATIVE_TOL = -1e-12
 
 #: The four +-1 outcome pairs, in fixed (A, B) order.
@@ -93,8 +98,8 @@ class BackgroundSpec:
     def __post_init__(self):
         for name in ("alpha1", "alpha2"):
             v = float(getattr(self, name))
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            if not (v >= 0.0 and math.isfinite(2.0 + 2.0 * v)):
+                raise ValueError(f"{name} must be >= 0 with 2 + 2 {name} finite, got {v!r}")
             object.__setattr__(self, name, v)
         weights = []
         for name in ("w12", "w21", "w11", "w22"):

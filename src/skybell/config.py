@@ -91,13 +91,19 @@ def _float(value, label: str) -> float:
     return number
 
 
-def _number(section: dict, path: str, key: str, default=None) -> float:
+def _number(section: dict, path: str, key: str) -> float:
     label = f"{path}.{key}" if path else key
     if key not in section:
-        if default is None:
-            raise ConfigError(f"{label}: missing required value")
-        return float(default)
+        raise ConfigError(f"{label}: missing required value")
     return _float(section[key], label)
+
+
+def _alpha(section: dict, key: str) -> float:
+    """A source's polarization excess; its density divides by 2 + 2 alpha."""
+    alpha = _number(section, "background", key)
+    if alpha < 0.0 or not math.isfinite(2.0 + 2.0 * alpha):
+        raise ConfigError(f"background.{key}: must be >= 0 with 2 + 2 {key} finite, got {alpha!r}")
+    return alpha
 
 
 def _point(section: dict, path: str, key: str) -> np.ndarray:
@@ -142,18 +148,16 @@ def parse_config(doc: dict) -> LoadedConfig:
         background = BackgroundSpec(
             axis1=PolarizerAxis(math.radians(_number(bg, "background", "axis1_deg"))),
             axis2=PolarizerAxis(math.radians(_number(bg, "background", "axis2_deg"))),
-            alpha1=_number(bg, "background", "alpha1"),
-            alpha2=_number(bg, "background", "alpha2"),
-            w12=_number(weights, "background.weights", "w12", default=0.5),
-            w21=_number(weights, "background.weights", "w21", default=0.5),
-            w11=_number(weights, "background.weights", "w11", default=0.0),
-            w22=_number(weights, "background.weights", "w22", default=0.0),
+            alpha1=_alpha(bg, "alpha1"),
+            alpha2=_alpha(bg, "alpha2"),
+            # a weight left out keeps BackgroundSpec's default
+            **{key: _number(weights, "background.weights", key) for key in weights},
         )
     except ValueError as exc:
         raise ConfigError(f"background: {exc}") from exc
 
     prop = _section(doc, "propagation", required=False)
-    normalization = prop.get("normalization", "phase-only")
+    normalization = prop.get("normalization", ExperimentConfig.propagator_normalization)
     if normalization not in NORMALIZATIONS:
         raise ConfigError(
             f"propagation.normalization: must be one of {NORMALIZATIONS}, got {normalization!r}"

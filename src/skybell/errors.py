@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ConfigError", "ConsistencyError", "DegenerateDesignError", "SkybellError"]
+
 
 class SkybellError(Exception):
     """Base class for package-specific failures."""

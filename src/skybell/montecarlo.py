@@ -30,6 +30,11 @@ from .scenarios import (
     correlation_model,
 )
 
+__all__ = [
+    "EstimatedCorrelator", "SampleBatch", "channel_distributions", "estimate_chsh",
+    "estimate_correlator", "sample_coincidences", "sample_scan",
+]
+
 #: Unused by the sampler; perfbench/spans.py reads it for its chunk count.
 CHUNK_SIZE = 1 << 18
 

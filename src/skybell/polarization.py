@@ -47,6 +47,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = [
+    "TSIRELSON_BOUND", "ChshConfiguration", "PolarizerAxis", "Projector",
+    "SourceDensityMatrix", "TwoPhotonPureState", "axis_angle_between", "bell_state",
+    "chsh_expectation", "chsh_operator", "chsh_operator_square",
+    "chsh_square_spectral_bound", "correlator", "joint_outcome_probability",
+    "outcome_projector", "projector_from_axis", "source_density",
+]
+
 #: Quantum bound on the absolute CHSH sum, 2*sqrt(2).
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -272,9 +280,10 @@ class SourceDensityMatrix:
     """2x2 polarization density matrix of a partially polarized source.
 
     Built from its parameters, the polarization axis n and the excess
-    alpha >= 0 (the only value checked): the read-only complex matrix
-    ``rho`` = [(1 + 2 alpha)|n><n| + |n_perp><n_perp|] / (2 + 2 alpha) is
-    stored for direct trace arithmetic.
+    alpha (the only value checked: >= 0, with 2 + 2 alpha finite): the
+    read-only complex matrix ``rho`` =
+    [(1 + 2 alpha)|n><n| + |n_perp><n_perp|] / (2 + 2 alpha) is stored for
+    direct trace arithmetic.
     """
 
     axis: PolarizerAxis
@@ -283,8 +292,10 @@ class SourceDensityMatrix:
 
     def __post_init__(self):
         alpha = float(self.alpha)
-        if not math.isfinite(alpha) or alpha < 0.0:
-            raise ValueError(f"polarization excess alpha must be finite and >= 0, got {alpha!r}")
+        if not (alpha >= 0.0 and math.isfinite(2.0 + 2.0 * alpha)):
+            raise ValueError(
+                f"polarization excess alpha must be >= 0 with 2 + 2 alpha finite, got {alpha!r}"
+            )
         n = self.axis.direction()
         nperp = self.axis.perpendicular().direction()
         rho = ((1.0 + 2.0 * alpha) * np.outer(n, n) + np.outer(nperp, nperp)) / (
@@ -301,7 +312,8 @@ def source_density(axis: PolarizerAxis, alpha: float) -> SourceDensityMatrix:
 
     Its eigenvalues are (1 + 2 alpha)/(2 + 2 alpha) and 1/(2 + 2 alpha).
     alpha = 0 is unpolarized (I/2); alpha -> inf approaches a pure state
-    along the axis.  Raises ValueError unless alpha is finite and >= 0.
+    along the axis.  Raises ValueError unless alpha >= 0 and 2 + 2 alpha
+    is finite (from alpha ~ 9e307 on it overflows and rho would be NaN).
     """
     return SourceDensityMatrix(axis, alpha)
 

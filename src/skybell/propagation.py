@@ -3,8 +3,8 @@
 Photons from point sources 1 and 2 reach detectors A and B along four
 legs.  Each leg carries a scalar amplitude
 
-    d_iX = exp(i (k r_iX + phi_i)) / r_iX      ("spherical")
-    d_iX = exp(i (k r_iX + phi_i))             ("phase-only")
+    d_iX = exp(i (k r_iX + phi_i)) / r_iX      (spherical)
+    d_iX = exp(i (k r_iX + phi_i))             (phase-only, the default)
 
 where r_iX is the leg length, k the wavenumber and phi_i a random
 emission phase of source i.  Polarization rides along unchanged, so the
@@ -26,7 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Allowed leg-amplitude normalizations.
+__all__ = [
+    "Geometry", "HbtIntensity", "PathAmplitudeSet", "entangled_pair_weight",
+    "hbt_intensity", "path_amplitudes", "propagate_pair", "scenario2_mask",
+]
+
+#: Allowed leg-amplitude normalizations; the first is the default of every
+#: function and config that takes one.
 NORMALIZATIONS = ("phase-only", "spherical")
 
 
@@ -125,7 +131,7 @@ def path_amplitudes(
     geometry: Geometry,
     phi1: float = 0.0,
     phi2: float = 0.0,
-    normalization: str = "phase-only",
+    normalization: str = NORMALIZATIONS[0],
 ) -> PathAmplitudeSet:
     """Leg amplitudes for the given geometry and source emission phases.
 
@@ -135,7 +141,8 @@ def path_amplitudes(
     phi1, phi2 : float
         Emission phases of sources 1 and 2 (radians).
     normalization : str
-        "phase-only" for unit-magnitude legs, "spherical" for 1/r falloff.
+        One of NORMALIZATIONS: phase-only for unit-magnitude legs,
+        spherical for 1/r falloff.
     """
     return _legs(geometry.wavenumber, geometry.path_lengths(), phi1, phi2, normalization)
 
@@ -164,7 +171,9 @@ def hbt_intensity(amps: PathAmplitudeSet) -> HbtIntensity:
     return HbtIntensity(total=total, interference=interference)
 
 
-def hbt_scan(geometry, detector_b, phi1=0.0, phi2=0.0, normalization="phase-only") -> HbtIntensity:
+def hbt_scan(
+    geometry, detector_b, phi1=0.0, phi2=0.0, normalization=NORMALIZATIONS[0]
+) -> HbtIntensity:
     """``hbt_intensity`` with detector B at each row of the (n, 3) array ``detector_b``.
 
     ``geometry``'s own detector B is ignored; ``phi1``/``phi2`` are numbers or

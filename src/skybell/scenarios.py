@@ -42,6 +42,12 @@ from .propagation import (
     scenario2_mask,
 )
 
+__all__ = [
+    "CorrelatorParts", "ExperimentConfig", "FitReport", "ScanResult", "angular_scan",
+    "chsh_with_background", "coincidence_correlator", "effective_amplitudes",
+    "extract_signal", "null_background_axes",
+]
+
 SCENARIOS = ("I", "II")
 
 _RANK_TOL = 1e-10
@@ -65,7 +71,7 @@ class ExperimentConfig:
     entangled_fraction: float
     background: BackgroundSpec
     geometry: Geometry
-    propagator_normalization: str = "phase-only"
+    propagator_normalization: str = NORMALIZATIONS[0]
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:

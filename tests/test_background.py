@@ -67,6 +67,8 @@ def test_spec_rejects_bad_inputs():
     with pytest.raises(ValueError):
         make_spec(alpha1=-0.5)
     with pytest.raises(ValueError):
+        make_spec(alpha2=1e308)
+    with pytest.raises(ValueError):
         make_spec(w12=-1.0)
     with pytest.raises(ValueError):
         make_spec(w12=0.0, w21=0.0, w11=0.0, w22=0.0)

@@ -611,6 +611,8 @@ def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
         pytest.param("geometry.wavenumber", 10**400, id="geometry.wavenumber-10^400"),
         pytest.param("geometry.source1", [10**400, 0.0, 1000.0], id="geometry.source1-10^400"),
         pytest.param("background.alpha1", 10**400, id="background.alpha1-10^400"),
+        # 2 + 2 alpha, the source density's denominator, overflows
+        ("background.alpha1", 1e308),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, field, value):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import far_field_geometry, make_config, random_geometry
+from helpers import far_field_geometry, make_config, random_geometry, readme_example
 
 from skybell import (
     ChshConfiguration,
@@ -117,35 +117,6 @@ def test_sampled_counts_fit_the_analytic_distribution(name):
     assert p_value > 1e-3
 
 
-# the example configuration of the README
-README_CONFIG = """\
-schema_version: 1
-scenario: II
-bell_kind: 1
-entangled_fraction: 0.3
-geometry:
-  source1: [-5.0, 0.0, 1000.0]
-  source2: [5.0, 0.0, 1000.0]
-  detector_a: [-1.0, 0.0, 0.0]
-  detector_b: [1.0, 0.0, 0.0]
-  wavenumber: 6.283185307179586
-propagation:
-  normalization: phase-only
-background:
-  axis1_deg: 0.0
-  axis2_deg: 0.0
-  alpha1: 1.0
-  alpha2: 1.0
-  weights: {w12: 0.5, w21: 0.5, w11: 0.0, w22: 0.0}
-chsh:
-  a_deg: 0.0
-  a_prime_deg: 45.0
-  b_deg: 22.5
-  b_prime_deg: 157.5
-rng:
-  seed: 0
-"""
-
 GRID = ["--grid-a", "0:168.75:16", "--grid-b", "0:168.75:16"]
 
 # sha256 of each output after its "# manifest:" line
@@ -162,7 +133,7 @@ GOLDEN_OUTPUTS = {
 @pytest.mark.parametrize("name", list(GOLDEN_OUTPUTS))
 def test_cli_output_bytes_are_pinned(name, tmp_path, capsys):
     config = tmp_path / "run.yaml"
-    config.write_text(README_CONFIG, encoding="utf-8")
+    config.write_text(readme_example(), encoding="utf-8")
     argv, digest = GOLDEN_OUTPUTS[name]
     out = tmp_path / f"{name}.csv"
     assert run([*argv, "--config", str(config), "--out", str(out)]) == EXIT_OK
@@ -177,7 +148,7 @@ GOLDEN_CHSH_REPORT = "3a5927391f78fc9f80e7663fd20c242cd263c394419e324ffbfd2b782c
 
 def test_chsh_report_bytes_are_pinned(tmp_path, capsys):
     config = tmp_path / "run.yaml"
-    config.write_text(README_CONFIG, encoding="utf-8")
+    config.write_text(readme_example(), encoding="utf-8")
     out = tmp_path / "chsh.json"
     argv = ["chsh", "--config", str(config), "--n", "100000", "--seed", "7", "--out", str(out)]
     assert run(argv) == EXIT_OK

@@ -335,6 +335,9 @@ def test_source_density_rejects_bad_alpha():
         source_density(PolarizerAxis(0.0), -0.1)
     with pytest.raises(ValueError):
         source_density(PolarizerAxis(0.0), math.inf)
+    # finite, but 2 + 2 alpha overflows and rho would be NaN
+    with pytest.raises(ValueError):
+        source_density(PolarizerAxis(0.0), 1e308)
 
 
 def test_joint_outcome_probability_basics():
