@@ -108,8 +108,9 @@ class BackgroundSpec:
                 raise ValueError(f"weight {name} must be finite and >= 0, got {v!r}")
             weights.append(v)
         total = sum(weights)
-        if total <= 0.0:
-            raise ValueError("pairing weights must have a positive sum")
+        # an infinite sum would divide every weight down to zero
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"pairing weights must have a positive, finite sum, got {total!r}")
         # weights that sum to one up to rounding are kept, which makes the
         # renormalization idempotent: dividing again would move them by an ulp
         if abs(total - 1.0) <= _WEIGHT_SUM_TOL:

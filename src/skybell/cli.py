@@ -199,8 +199,10 @@ def read_scan_csv(path: Path) -> ScanResult:
     """Read a scan CSV: one header, then rows of decimal, nan or inf tokens.
 
     Blank and ``#`` lines are skipped anywhere; a ``#`` after a value is not
-    a comment.  Rows go to numpy's C parser in one call; only when it
-    refuses them is the file read again to quote the first malformed row.
+    a comment.  The data rows are streamed from the open file into numpy's
+    C parser; only a file it refuses (a ``#`` or whitespace-only line after
+    the first row, or a malformed row) is read again line by line
+    (``_filtered_rows``), which gives the same array or error.
     """
     try:
         return ScanResult(*_scan_rows(path).T)
@@ -224,8 +226,31 @@ def _scan_rows(path: Path) -> np.ndarray:
         first = next(rows, None)
         if first is None:
             raise ConfigError(f"scan file {path}: no data rows")
+        data = _streamed_rows(first, fh)
+    return _filtered_rows(path) if data is None else data
+
+
+def _streamed_rows(first: str, fh) -> np.ndarray | None:
+    """``first`` and every line left in ``fh`` as seven-column rows, or None if refused.
+
+    numpy's C loop pulls the lines from the file itself.  It skips empty
+    lines, and a whitespace-only or ``#`` line never parses as seven floats,
+    so a parse that succeeds equals the line-filtered one.
+    """
+    try:
+        data = _parse_rows(itertools.chain((first,), fh))
+    except ValueError:
+        return None
+    return data if data.shape[1] == len(SCAN_CSV_COLUMNS) else None
+
+
+def _filtered_rows(path: Path) -> np.ndarray:
+    """The data rows without blank and ``#`` lines, or the first malformed row quoted."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = _content_lines(fh)
+        next(rows)  # the header, checked by _scan_rows
         try:
-            data = _parse_rows(itertools.chain((first,), rows))
+            data = _parse_rows(rows)
         except ValueError:
             data = None
     if data is None or data.shape[1] != len(SCAN_CSV_COLUMNS):

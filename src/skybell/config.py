@@ -106,6 +106,13 @@ def _alpha(section: dict, key: str) -> float:
     return alpha
 
 
+def _weight(section: dict, key: str) -> float:
+    weight = _number(section, "background.weights", key)
+    if weight < 0.0:
+        raise ConfigError(f"background.weights.{key}: must be >= 0, got {weight!r}")
+    return weight
+
+
 def _point(section: dict, path: str, key: str) -> np.ndarray:
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required value")
@@ -151,10 +158,11 @@ def parse_config(doc: dict) -> LoadedConfig:
             alpha1=_alpha(bg, "alpha1"),
             alpha2=_alpha(bg, "alpha2"),
             # a weight left out keeps BackgroundSpec's default
-            **{key: _number(weights, "background.weights", key) for key in weights},
+            **{key: _weight(weights, key) for key in weights},
         )
     except ValueError as exc:
-        raise ConfigError(f"background: {exc}") from exc
+        # each alpha and weight is checked above; what is left is the weights' sum
+        raise ConfigError(f"background.weights: {exc}") from exc
 
     prop = _section(doc, "propagation", required=False)
     normalization = prop.get("normalization", ExperimentConfig.propagator_normalization)

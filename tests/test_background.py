@@ -72,6 +72,8 @@ def test_spec_rejects_bad_inputs():
         make_spec(w12=-1.0)
     with pytest.raises(ValueError):
         make_spec(w12=0.0, w21=0.0, w11=0.0, w22=0.0)
+    with pytest.raises(ValueError, match="finite sum"):
+        make_spec(w12=1e308, w21=1e308)
 
 
 # ---------------------------------------------------------------- traces

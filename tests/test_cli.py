@@ -199,6 +199,25 @@ def test_scan_round_trips_exact_floats(config_path, tmp_path):
     assert np.array_equal(scan.theta_a, direct.theta_a)
 
 
+def test_clean_scan_files_are_read_in_one_streamed_parse(scan_csv, tmp_path, monkeypatch):
+    def no_fallback(path):
+        raise AssertionError(f"{path} was read again line by line")
+
+    expected = scenarios.angular_scan(
+        readme_config().experiment, np.deg2rad(np.linspace(0.0, 135.0, 4)),
+        np.deg2rad(np.linspace(0.0, 135.0, 4)),
+    )
+    written = tmp_path / "written.csv"
+    cli.write_scan_csv(written, expected)
+    monkeypatch.setattr(cli, "_filtered_rows", no_fallback)
+    # the scan output starts with its "# manifest:" line, the written file with the header
+    assert scan_csv.read_text(encoding="utf-8").startswith("# manifest: ")
+    for path in (scan_csv, written):
+        scan = read_scan_csv(path)
+        for field in dataclasses.fields(scan):
+            assert getattr(scan, field.name).tobytes() == getattr(expected, field.name).tobytes()
+
+
 def test_scan_rejects_bad_grid(config_path, tmp_path, capsys):
     code = run(["scan", "--config", str(config_path), "--grid-a", "0:90:0",
                 "--grid-b", "0:90:4", "--out", str(tmp_path / "x.csv")])
@@ -613,6 +632,12 @@ def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
         pytest.param("background.alpha1", 10**400, id="background.alpha1-10^400"),
         # 2 + 2 alpha, the source density's denominator, overflows
         ("background.alpha1", 1e308),
+        ("background.weights.w12", -1),
+        ("background.weights", {"w12": 0, "w21": 0}),
+        # the sum of the weights overflows
+        ("background.weights", {"w12": 1e308, "w21": 1e308}),
+        # YAML 1.1 reads an exponent without a dot and a sign as a string
+        ("entangled_fraction", "3e-1"),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, field, value):

@@ -3,12 +3,14 @@ and exact round trips of the scan CSV and config YAML formats."""
 
 import math
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,9 +18,11 @@ from helpers import bits, flatten, make_config, random_geometry
 
 from skybell import (
     ChshConfiguration,
+    ConfigError,
     PolarizerAxis,
     chsh_square_spectral_bound,
     chsh_with_background,
+    cli,
     effective_amplitudes,
     effective_density_matrix,
     projector_from_axis,
@@ -243,6 +247,66 @@ def test_scan_reader_equals_a_float_reference(text):
     expected = list(zip(*reference_scan_rows(text)))
     for name, column in zip(SCAN_FIELDS, expected):
         assert bits(getattr(scan, name).tolist()) == bits(column)
+
+
+DAMAGED_ROWS = (
+    lambda fields: fields[:-1],  # short
+    lambda fields: fields + ["0.5"],  # long
+    lambda fields: [""] + fields[1:],  # empty field
+    lambda fields: fields[:3] + ["abc"] + fields[4:],  # non-numeric
+    lambda fields: fields[:-1] + [fields[-1] + " # note"],  # trailing comment
+    lambda fields: ["1_0"] + fields[1:],  # underscore digits
+)
+FILLER_LINES = ("", "   ", "\t", "# note", "  # indented,1,2", "#")
+HEADER = ",".join(SCAN_CSV_COLUMNS)
+
+
+@st.composite
+def mixed_scan_texts(draw):
+    """A scan file: valid rows mixed with blank, whitespace-only and # lines
+    (each file its own kinds, maybe none) and rows with one kind of damage,
+    or no rows at all; LF, CRLF or CR endings."""
+    kinds = draw(st.sets(st.sampled_from(FILLER_LINES)))
+    filler = st.lists(st.sampled_from(sorted(kinds)), max_size=2) if kinds else st.just([])
+    damage = draw(st.sampled_from(DAMAGED_ROWS))
+    rows = [[repr(draw(st.floats(-1.0, 1.0))) for _ in SCAN_CSV_COLUMNS]
+            for _ in range(draw(st.integers(0, 6)))]
+    rows = [damage(fields) if draw(st.integers(0, 2)) == 0 else fields for fields in rows]
+    lines = draw(filler) + [HEADER]
+    for fields in rows:
+        lines += draw(filler) + [",".join(fields)]
+    lines += draw(filler)
+    return draw(st.sampled_from(("\n", "\r\n", "\r"))).join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+def scan_or_error(path):
+    """The scan read from ``path`` as column bits, or the ConfigError text."""
+    try:
+        scan = read_scan_csv(path)
+    except ConfigError as exc:
+        return str(exc)
+    return [bits(getattr(scan, name).tolist()) for name in SCAN_FIELDS]
+
+
+@PROPERTY_SETTINGS
+@given(text=mixed_scan_texts())
+# rows of one wrong width, a row numpy would read with comments="#", a
+# whitespace-only line after the first row, a header with no rows
+@example(text=f"{HEADER}\n0,0,0,0,0,0\n0,0,0,0,0,0\n")
+@example(text=f"{HEADER}\n0,0,0,0,0,0,0\n0,0,0,0,0,0,0 # note\n")
+@example(text=f"# manifest: x\n{HEADER}\n0,0,0,0,0,0,0\n  \n0,0,0,0,0,0,0\n")
+@example(text=f"#\r{HEADER}\r\r")
+def test_streamed_scan_reader_equals_the_line_filtered_one(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            streamed = scan_or_error(path)
+            with mock.patch.object(cli, "_streamed_rows", lambda first, fh: None):
+                filtered = scan_or_error(path)
+    assert streamed == filtered
+    assert caught == []
 
 
 @st.composite
