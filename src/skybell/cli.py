@@ -168,9 +168,14 @@ def write_scan_csv(path: Path, scan: ScanResult) -> None:
     _write_fresh([(path, _csv_text(SCAN_CSV_COLUMNS, _scan_columns(scan), None))])
 
 
-def _content_lines(lines):
-    """The lines, unstripped, that are neither blank nor ``#`` comments."""
-    return (line for line in lines if (text := line.lstrip()) and text[0] != "#")
+# np.lib._datasource opens a name with one of these exact suffixes through a
+# decompressor, so such a file is never handed to np.loadtxt by path
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _is_content(line: str) -> bool:
+    """Whether a line is neither blank nor a ``#`` comment."""
+    return line.lstrip()[:1] not in ("", "#")
 
 
 def _parse_rows(lines) -> np.ndarray:
@@ -188,7 +193,7 @@ def _malformed_row(path: Path) -> str:
             return False
 
     with open(path, "r", encoding="utf-8") as fh:
-        rows = _content_lines(fh)
+        rows = filter(_is_content, fh)
         next(rows)  # the header
         # loadtxt refused the rows together, and only their column counts
         # couple rows, so some row is refused alone
@@ -199,10 +204,14 @@ def read_scan_csv(path: Path) -> ScanResult:
     """Read a scan CSV: one header, then rows of decimal, nan or inf tokens.
 
     Blank and ``#`` lines are skipped anywhere; a ``#`` after a value is not
-    a comment.  The data rows are streamed from the open file into numpy's
-    C parser; only a file it refuses (a ``#`` or whitespace-only line after
-    the first row, or a malformed row) is read again line by line
-    (``_filtered_rows``), which gives the same array or error.
+    a comment.  One pass over the head of the file checks the header and
+    finds the first data row; numpy then reads the rest by path, in blocks
+    (``_streamed_rows``).  A file it refuses (a ``#`` or whitespace-only
+    line after the first row, or a malformed row) is read again line by
+    line (``_filtered_rows``), which gives the same array or error.  A file
+    that numpy would not open again as the same text (a pipe or another
+    file that cannot seek, or a name ending in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma``) is read on line by line from the head pass instead.
     """
     try:
         return ScanResult(*_scan_rows(path).T)
@@ -213,46 +222,61 @@ def read_scan_csv(path: Path) -> ScanResult:
 
 
 def _scan_rows(path: Path) -> np.ndarray:
-    """The data rows of a scan CSV as one 2-D array, header checked."""
+    """The data rows of a scan CSV as one 2-D array, header checked.
+
+    The head pass reads up to the first data row and counts the lines
+    before it; the block read skips that many lines.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        rows = _content_lines(fh)
-        header = next(rows, None)
+        rows = ((n, line) for n, line in enumerate(fh) if _is_content(line))
+        _, header = next(rows, (0, None))
         if header is not None and tuple(header.strip().split(",")) != SCAN_CSV_COLUMNS:
             raise ConfigError(
                 f"scan file {path}: header {header.strip()!r} does not "
                 f"match {','.join(SCAN_CSV_COLUMNS)!r}"
             )
-        # peeked, so loadtxt never sees (and never warns about) empty input
-        first = next(rows, None)
+        # checked here, so loadtxt never sees (and never warns about) empty input
+        skip, first = next(rows, (0, None))
         if first is None:
             raise ConfigError(f"scan file {path}: no data rows")
-        data = _streamed_rows(first, fh)
+        if not fh.seekable() or os.path.splitext(path)[1] in _DECOMPRESSED_SUFFIXES:
+            # numpy would read a pipe on from where this pass stopped and open
+            # these names through a decompressor, so read on from here instead
+            return _checked_rows(path, itertools.chain((first,), (line for _, line in rows)))
+    data = _streamed_rows(path, skip)
     return _filtered_rows(path) if data is None else data
 
 
-def _streamed_rows(first: str, fh) -> np.ndarray | None:
-    """``first`` and every line left in ``fh`` as seven-column rows, or None if refused.
+def _streamed_rows(path: Path, skip: int) -> np.ndarray | None:
+    """The lines of ``path`` after the first ``skip`` as seven-column rows, or None if refused.
 
-    numpy's C loop pulls the lines from the file itself.  It skips empty
-    lines, and a whitespace-only or ``#`` line never parses as seven floats,
-    so a parse that succeeds equals the line-filtered one.
+    numpy opens the path itself, reads it in blocks and splits the lines in
+    C.  It skips empty lines, and a whitespace-only or ``#`` line never
+    parses as seven floats, so a parse that succeeds equals the
+    line-filtered one.
     """
     try:
-        data = _parse_rows(itertools.chain((first,), fh))
+        data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                          encoding="utf-8")
     except ValueError:
         return None
     return data if data.shape[1] == len(SCAN_CSV_COLUMNS) else None
 
 
 def _filtered_rows(path: Path) -> np.ndarray:
-    """The data rows without blank and ``#`` lines, or the first malformed row quoted."""
+    """The data rows without blank and ``#`` lines, read again from the start."""
     with open(path, "r", encoding="utf-8") as fh:
-        rows = _content_lines(fh)
+        rows = filter(_is_content, fh)
         next(rows)  # the header, checked by _scan_rows
-        try:
-            data = _parse_rows(rows)
-        except ValueError:
-            data = None
+        return _checked_rows(path, rows)
+
+
+def _checked_rows(path: Path, lines) -> np.ndarray:
+    """``lines`` as seven-column rows, or the first malformed row of ``path`` quoted."""
+    try:
+        data = _parse_rows(lines)
+    except ValueError:
+        data = None
     if data is None or data.shape[1] != len(SCAN_CSV_COLUMNS):
         raise ConfigError(f"scan file {path}: malformed row {_malformed_row(path)!r}")
     return data

@@ -473,6 +473,42 @@ def test_fit_skips_comment_and_blank_lines_between_rows(scan_csv, tmp_path, caps
         assert getattr(padded_scan, field.name).tobytes() == getattr(plain_scan, field.name).tobytes()
 
 
+def scan_bytes(scan):
+    """Each column of a scan as its bytes."""
+    return [getattr(scan, field.name).tobytes() for field in dataclasses.fields(scan)]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_fit_reads_plain_text_under_a_compressed_suffix(scan_csv, tmp_path, capsys, suffix):
+    # numpy's loadtxt opens a path with these suffixes through a decompressor
+    renamed = tmp_path / f"scan{suffix}"
+    renamed.write_bytes(scan_csv.read_bytes())
+    assert scan_bytes(read_scan_csv(renamed)) == scan_bytes(read_scan_csv(scan_csv))
+    capsys.readouterr()
+    assert run(["fit", str(scan_csv), "--beta1", "0", "--beta2", "0"]) == EXIT_OK
+    plain = capsys.readouterr()
+    assert run(["fit", str(renamed), "--beta1", "0", "--beta2", "0"]) == EXIT_OK
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_scan_piped_to_dev_stdin_reads_like_the_file(config_path, tmp_path):
+    # a pipe cannot be opened again from its start, and this file (about
+    # 54 kB) is longer than the text buffer the header check reads ahead
+    path = tmp_path / "scan.csv"
+    assert run(["scan", "--config", str(config_path), "--grid-a", "0:170:20",
+                "--grid-b", "0:170:20", "--out", str(path)]) == EXIT_OK
+    child = ("import sys; from pathlib import Path; from skybell.cli import read_scan_csv; "
+             "scan = read_scan_csv(Path('/dev/stdin')); "
+             "print(*(getattr(scan, name).tobytes().hex() for name in sys.argv[1:]))")
+    names = [field.name for field in dataclasses.fields(skybell.ScanResult)]
+    result = subprocess.run([sys.executable, "-c", child, *names], input=path.read_bytes(),
+                            capture_output=True, env=child_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    expected = " ".join(column.hex() for column in scan_bytes(read_scan_csv(path)))
+    assert result.stdout.decode().strip() == expected
+
+
 def test_fit_rejects_a_correlator_beyond_one(tmp_path, capsys):
     path = tmp_path / "over.csv"
     rows = [",".join(SCAN_CSV_COLUMNS), "0,0.5,0.25,0,0,0,0", "0,0,2.0,0,0,0,0"]
@@ -913,15 +949,19 @@ def test_version_flag(capsys):
     assert "skybell" in capsys.readouterr().out
 
 
-def test_module_entry_point(config_path):
-    # the child imports the same skybell as this process, installed or not
+def child_env():
+    """An environment whose Python imports this process's skybell, installed or not."""
     src = str(Path(skybell.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point(config_path):
     result = subprocess.run(
         [sys.executable, "-m", "skybell.cli", "chsh", "--config", str(config_path)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "S = 1.096016 (analytic)"

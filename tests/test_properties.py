@@ -219,7 +219,7 @@ def reference_scan_rows(text):
 @st.composite
 def scan_texts(draw):
     """A valid scan file: float tokens in several spellings, padded fields,
-    comment and blank lines anywhere, LF or CRLF endings."""
+    comment and blank lines anywhere, LF, CRLF or CR endings."""
     finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                        st.sampled_from(EDGE_FLOATS))
     # ScanResult keeps the mixture correlator E in [-1, 1]
@@ -234,7 +234,7 @@ def scan_texts(draw):
                   for name in SCAN_CSV_COLUMNS]
         lines.append(draw(pad) + ",".join(fields))
     lines += draw(filler)
-    return draw(st.sampled_from(("\n", "\r\n"))).join(lines) + draw(st.sampled_from(("", "\n")))
+    return draw(st.sampled_from(("\n", "\r\n", "\r"))).join(lines) + draw(st.sampled_from(("", "\n")))
 
 
 @PROPERTY_SETTINGS
@@ -291,11 +291,13 @@ def scan_or_error(path):
 @PROPERTY_SETTINGS
 @given(text=mixed_scan_texts())
 # rows of one wrong width, a row numpy would read with comments="#", a
-# whitespace-only line after the first row, a header with no rows
+# whitespace-only line after the first row, a header with no rows, and
+# blank and # lines before the header and the first row that the block read skips
 @example(text=f"{HEADER}\n0,0,0,0,0,0\n0,0,0,0,0,0\n")
 @example(text=f"{HEADER}\n0,0,0,0,0,0,0\n0,0,0,0,0,0,0 # note\n")
 @example(text=f"# manifest: x\n{HEADER}\n0,0,0,0,0,0,0\n  \n0,0,0,0,0,0,0\n")
 @example(text=f"#\r{HEADER}\r\r")
+@example(text=f"# manifest: x\r\r  # a\r{HEADER}\r\r#\r \r0.5,0,0,0,0,0,0\r1,0,0,0,0,0,0\r")
 def test_streamed_scan_reader_equals_the_line_filtered_one(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scan.csv"
@@ -303,7 +305,7 @@ def test_streamed_scan_reader_equals_the_line_filtered_one(text):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             streamed = scan_or_error(path)
-            with mock.patch.object(cli, "_streamed_rows", lambda first, fh: None):
+            with mock.patch.object(cli, "_streamed_rows", lambda path, skip: None):
                 filtered = scan_or_error(path)
     assert streamed == filtered
     assert caught == []
