@@ -34,7 +34,6 @@ import argparse
 import contextlib
 import dataclasses
 import errno
-import itertools
 import json
 import math
 import os
@@ -178,26 +177,18 @@ def _is_content(line: str) -> bool:
     return line.lstrip()[:1] not in ("", "#")
 
 
-def _parse_rows(lines) -> np.ndarray:
-    """Comma-separated float rows, one per line, by numpy's C parser (2-D)."""
-    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+def _rows(source, skip: int = 0) -> np.ndarray | None:
+    """``source`` (a path or lines) after its first ``skip`` lines as seven-column rows.
 
-
-def _malformed_row(path: Path) -> str:
-    """The first data row of ``path`` that alone is not one row of scan floats."""
-
-    def is_scan_row(line):
-        try:
-            return _parse_rows([line]).shape[1] == len(SCAN_CSV_COLUMNS)
-        except ValueError:
-            return False
-
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = filter(_is_content, fh)
-        next(rows)  # the header
-        # loadtxt refused the rows together, and only their column counts
-        # couple rows, so some row is refused alone
-        return next(line.strip() for line in rows if not is_scan_row(line))
+    numpy's C parser reads them; a path it opens itself and reads in
+    blocks.  None if it refuses them or they are not seven columns wide.
+    """
+    try:
+        data = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, skiprows=skip,
+                          encoding="utf-8")
+    except ValueError:
+        return None
+    return data if data.shape[1] == len(SCAN_CSV_COLUMNS) else None
 
 
 def read_scan_csv(path: Path) -> ScanResult:
@@ -205,13 +196,12 @@ def read_scan_csv(path: Path) -> ScanResult:
 
     Blank and ``#`` lines are skipped anywhere; a ``#`` after a value is not
     a comment.  One pass over the head of the file checks the header and
-    finds the first data row; numpy then reads the rest by path, in blocks
-    (``_streamed_rows``).  A file it refuses (a ``#`` or whitespace-only
-    line after the first row, or a malformed row) is read again line by
-    line (``_filtered_rows``), which gives the same array or error.  A file
-    that numpy would not open again as the same text (a pipe or another
-    file that cannot seek, or a name ending in ``.gz``, ``.bz2``, ``.xz`` or
-    ``.lzma``) is read on line by line from the head pass instead.
+    finds the first data row; numpy then reads the rest by path, in blocks.
+    A file it refuses (a ``#`` or whitespace-only line after the first row,
+    or a malformed row), a pipe or another file that cannot seek, and a
+    name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` are instead read
+    on from the head pass, the content lines into one list that is parsed
+    once; the fallback never opens the file again.
     """
     try:
         return ScanResult(*_scan_rows(path).T)
@@ -225,7 +215,9 @@ def _scan_rows(path: Path) -> np.ndarray:
     """The data rows of a scan CSV as one 2-D array, header checked.
 
     The head pass reads up to the first data row and counts the lines
-    before it; the block read skips that many lines.
+    before it; the block read skips that many lines.  numpy skips empty
+    lines, and a whitespace-only or ``#`` line never parses as seven
+    floats, so a block read that succeeds equals the line-filtered one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = ((n, line) for n, line in enumerate(fh) if _is_content(line))
@@ -239,46 +231,18 @@ def _scan_rows(path: Path) -> np.ndarray:
         skip, first = next(rows, (0, None))
         if first is None:
             raise ConfigError(f"scan file {path}: no data rows")
-        if not fh.seekable() or os.path.splitext(path)[1] in _DECOMPRESSED_SUFFIXES:
-            # numpy would read a pipe on from where this pass stopped and open
-            # these names through a decompressor, so read on from here instead
-            return _checked_rows(path, itertools.chain((first,), (line for _, line in rows)))
-    data = _streamed_rows(path, skip)
-    return _filtered_rows(path) if data is None else data
-
-
-def _streamed_rows(path: Path, skip: int) -> np.ndarray | None:
-    """The lines of ``path`` after the first ``skip`` as seven-column rows, or None if refused.
-
-    numpy opens the path itself, reads it in blocks and splits the lines in
-    C.  It skips empty lines, and a whitespace-only or ``#`` line never
-    parses as seven floats, so a parse that succeeds equals the
-    line-filtered one.
-    """
-    try:
-        data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=skip,
-                          encoding="utf-8")
-    except ValueError:
-        return None
-    return data if data.shape[1] == len(SCAN_CSV_COLUMNS) else None
-
-
-def _filtered_rows(path: Path) -> np.ndarray:
-    """The data rows without blank and ``#`` lines, read again from the start."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = filter(_is_content, fh)
-        next(rows)  # the header, checked by _scan_rows
-        return _checked_rows(path, rows)
-
-
-def _checked_rows(path: Path, lines) -> np.ndarray:
-    """``lines`` as seven-column rows, or the first malformed row of ``path`` quoted."""
-    try:
-        data = _parse_rows(lines)
-    except ValueError:
-        data = None
-    if data is None or data.shape[1] != len(SCAN_CSV_COLUMNS):
-        raise ConfigError(f"scan file {path}: malformed row {_malformed_row(path)!r}")
+        # numpy would read a pipe on from where this pass stopped and open
+        # these names through a decompressor, so they are read on from here
+        if fh.seekable() and os.path.splitext(path)[1] not in _DECOMPRESSED_SUFFIXES:
+            data = _rows(path, skip)
+            if data is not None:
+                return data
+        lines = [first, *(line for _, line in rows)]
+    data = _rows(lines)
+    if data is None:
+        # only their column counts couple rows, so some row is refused alone
+        row = next(line for line in lines if _rows([line]) is None)
+        raise ConfigError(f"scan file {path}: malformed row {row.strip()!r}")
     return data
 
 

@@ -200,8 +200,13 @@ def test_scan_round_trips_exact_floats(config_path, tmp_path):
 
 
 def test_clean_scan_files_are_read_in_one_streamed_parse(scan_csv, tmp_path, monkeypatch):
-    def no_fallback(path):
-        raise AssertionError(f"{path} was read again line by line")
+    block_reads, block_read = [], cli._rows
+
+    def no_fallback(source, skip=0):
+        if not isinstance(source, (str, os.PathLike)):
+            raise AssertionError("a clean scan was read on line by line")
+        block_reads.append(source)
+        return block_read(source, skip)
 
     expected = scenarios.angular_scan(
         readme_config().experiment, np.deg2rad(np.linspace(0.0, 135.0, 4)),
@@ -209,11 +214,12 @@ def test_clean_scan_files_are_read_in_one_streamed_parse(scan_csv, tmp_path, mon
     )
     written = tmp_path / "written.csv"
     cli.write_scan_csv(written, expected)
-    monkeypatch.setattr(cli, "_filtered_rows", no_fallback)
+    monkeypatch.setattr(cli, "_rows", no_fallback)
     # the scan output starts with its "# manifest:" line, the written file with the header
     assert scan_csv.read_text(encoding="utf-8").startswith("# manifest: ")
     for path in (scan_csv, written):
         scan = read_scan_csv(path)
+        assert block_reads.pop() == path and block_reads == []
         for field in dataclasses.fields(scan):
             assert getattr(scan, field.name).tobytes() == getattr(expected, field.name).tobytes()
 
@@ -478,17 +484,30 @@ def scan_bytes(scan):
     return [getattr(scan, field.name).tobytes() for field in dataclasses.fields(scan)]
 
 
-@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-def test_fit_reads_plain_text_under_a_compressed_suffix(scan_csv, tmp_path, capsys, suffix):
+def fit_outcome(path, capsys):
+    """fit's exit code, stdout and stderr on ``path``, the path in stderr written ``<scan>``."""
+    capsys.readouterr()
+    code = run(["fit", str(path), "--beta1", "0", "--beta2", "0"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err.replace(str(path), "<scan>")
+
+
+@pytest.mark.parametrize("suffix, tail", [
+    (".gz", ""), (".bz2", ""), (".xz", ""), (".lzma", ""), (".gz", "1,2,3\n"),
+], ids=[".gz", ".bz2", ".xz", ".lzma", ".gz-malformed"])
+def test_fit_reads_plain_text_under_a_compressed_suffix(scan_csv, tmp_path, capsys, suffix, tail):
     # numpy's loadtxt opens a path with these suffixes through a decompressor
     renamed = tmp_path / f"scan{suffix}"
+    scan_csv.write_text(scan_csv.read_text(encoding="utf-8") + tail, encoding="utf-8")
     renamed.write_bytes(scan_csv.read_bytes())
-    assert scan_bytes(read_scan_csv(renamed)) == scan_bytes(read_scan_csv(scan_csv))
-    capsys.readouterr()
-    assert run(["fit", str(scan_csv), "--beta1", "0", "--beta2", "0"]) == EXIT_OK
-    plain = capsys.readouterr()
-    assert run(["fit", str(renamed), "--beta1", "0", "--beta2", "0"]) == EXIT_OK
-    assert capsys.readouterr() == plain
+    outcome = fit_outcome(renamed, capsys)
+    assert outcome == fit_outcome(scan_csv, capsys)
+    if tail:
+        assert outcome[0] == EXIT_CONFIG
+        assert "scan file <scan>: malformed row '1,2,3'" in outcome[2]
+    else:
+        assert outcome[0] == EXIT_OK
+        assert scan_bytes(read_scan_csv(renamed)) == scan_bytes(read_scan_csv(scan_csv))
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
@@ -507,6 +526,25 @@ def test_a_scan_piped_to_dev_stdin_reads_like_the_file(config_path, tmp_path):
     assert result.returncode == 0, result.stderr
     expected = " ".join(column.hex() for column in scan_bytes(read_scan_csv(path)))
     assert result.stdout.decode().strip() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("tail, message", [
+    (b"1,2,3\n", "scan file /dev/stdin: malformed row '1,2,3'"),
+    (b"0.5,0,0,0,0,0,\xff\n", "scan file /dev/stdin: not UTF-8 text"),
+], ids=["malformed-row", "non-utf-8-byte"])
+def test_a_refused_scan_piped_to_dev_stdin_exits_2_naming_it(scan_csv, tail, message):
+    # a pipe can be read only once, and the refused row comes after the
+    # head pass's first read-ahead buffer: 40 more copies of the rows are ~80 kB
+    text = scan_csv.read_bytes()
+    text += b"".join(text.splitlines(keepends=True)[2:]) * 40 + tail
+    result = subprocess.run(
+        [sys.executable, "-m", "skybell.cli", "fit", "/dev/stdin", "--beta1", "0", "--beta2", "0"],
+        input=text, capture_output=True, env=child_env(), timeout=60,
+    )
+    assert result.returncode == EXIT_CONFIG, result.stderr
+    assert result.stdout == b""
+    assert message in result.stderr.decode()
 
 
 def test_fit_rejects_a_correlator_beyond_one(tmp_path, capsys):

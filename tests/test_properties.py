@@ -2,6 +2,7 @@
 and exact round trips of the scan CSV and config YAML formats."""
 
 import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -288,6 +289,11 @@ def scan_or_error(path):
     return [bits(getattr(scan, name).tolist()) for name in SCAN_FIELDS]
 
 
+def refuse_the_block_read(source, skip=0, rows=cli._rows):
+    """``cli._rows`` with every read by path refused, so a scan is read on line by line."""
+    return None if isinstance(source, (str, os.PathLike)) else rows(source, skip)
+
+
 @PROPERTY_SETTINGS
 @given(text=mixed_scan_texts())
 # rows of one wrong width, a row numpy would read with comments="#", a
@@ -305,7 +311,7 @@ def test_streamed_scan_reader_equals_the_line_filtered_one(text):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             streamed = scan_or_error(path)
-            with mock.patch.object(cli, "_streamed_rows", lambda path, skip: None):
+            with mock.patch.object(cli, "_rows", refuse_the_block_read):
                 filtered = scan_or_error(path)
     assert streamed == filtered
     assert caught == []
