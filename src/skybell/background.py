@@ -14,13 +14,15 @@ from each source, entered twice as (1,2) and (2,1)) and the same-source
 pairings (1,1) and (2,2), mixed with nonnegative weights normalized to
 sum one.  :func:`effective_density_matrix` writes the weighted rate once,
 as an unnormalized 4x4 pair density matrix rho_eff with
-Tr[(M_A x M_B) rho_eff] equal to it.
+Tr[(M_A x M_B) rho_eff] equal to it; it is the reference the model is
+tested against.
 
 Every polarizer operator is a combination of I, sigma_z and sigma_x with
 coefficients from (1, cos 2t, sin 2t), so contracting rho_eff with that
-basis on each side leaves one real 3x3 tensor K per config
-(:func:`correlation_tensor`): a total rate w, marginal 2-vectors m_A and
-m_B and a 2x2 correlation tensor T.  With u = (cos 2t_A, sin 2t_A) and
+basis on each side leaves one real 3x3 tensor K per config: a total rate
+w, marginal 2-vectors m_A and m_B and a 2x2 correlation tensor T.
+:func:`correlation_tensor` builds K in closed form from the sources'
+Stokes vectors, without rho_eff.  With u = (cos 2t_A, sin 2t_A) and
 v = (cos 2t_B, sin 2t_B), the (oa, ob) outcome pair is detected at the
 rate
 
@@ -70,6 +72,12 @@ _WEIGHT_SUM_TOL = 4.0 * np.finfo(float).eps
 _BASIS = np.array(
     [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]
 )
+
+#: G[m, a, n, b] = Tr[B_m B_a B_n B_b] / 4 as a map from X[a, b] to K[m, n]:
+#: with X = s_i s_j^T it gives Tr[B_m rho_i B_n rho_j], the exchange term.
+_EXCHANGE = (
+    np.einsum("mij,ajk,nkl,bli->mnab", _BASIS, _BASIS, _BASIS, _BASIS) / 4.0
+).reshape(9, 9)
 
 
 @dataclass(frozen=True)
@@ -162,21 +170,47 @@ def interference_trace(
     return complex(np.trace(pa.m @ rho1.rho @ pb.m @ rho2.rho))
 
 
+def _stokes(axis: PolarizerAxis, alpha: float) -> tuple[float, float, float]:
+    """Tr(B_m rho) of a source: s = (1, p cos 2n, p sin 2n) with p = alpha / (1 + alpha)."""
+    p = alpha / (1.0 + alpha)
+    return (1.0, p * math.cos(2.0 * axis.angle), p * math.sin(2.0 * axis.angle))
+
+
 def correlation_tensor(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np.ndarray:
     """The background's real 3x3 tensor K in the polarizer basis (I, sigma_z, sigma_x).
 
     K[m, n] = Tr[(B_m x B_n) rho_eff] with rho_eff from
-    :func:`effective_density_matrix`: K[0, 0] is the total rate w,
-    K[1:, 0] and K[0, 1:] are w m_A and w m_B, K[1:, 1:] is w T.  Raises
-    ConsistencyError on an imaginary residue or a total rate below
-    -1e-12, both of which signal corrupt inputs.
+    :func:`effective_density_matrix`, in closed form over the pairings:
+
+        K = sum w [ |d_iA d_jB|^2 s_i s_j^T + |d_jA d_iB|^2 s_j s_i^T
+                    + 2 Re(z) G(s_i, s_j) ],
+
+    with the sources' Stokes vectors s, z = d_iA d_jB conj(d_jA d_iB) and
+    G(s_i, s_j)[m, n] = Tr[B_m rho_i B_n rho_j] (``_EXCHANGE``).  K[0, 0]
+    is the total rate w, K[1:, 0] and K[0, 1:] are w m_A and w m_B,
+    K[1:, 1:] is w T.  Raises ConsistencyError on an imaginary residue or
+    a total rate below -1e-12, both of which signal corrupt inputs.
     """
-    rho = effective_density_matrix(spec, amps).reshape(2, 2, 2, 2)
-    k = np.einsum("mij,nkl,jlik->mn", _BASIS, _BASIS, rho)
-    residue = float(np.max(np.abs(k.imag)))
-    if residue > 1e-12 * max(1.0, float(np.max(np.abs(k.real)))):
-        raise ConsistencyError(f"correlation tensor has imaginary residue {residue:.3e}")
-    k = k.real
+    d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))
+    # coefficients of s_a s_b^T in the direct and the exchange terms
+    direct = [[0.0, 0.0], [0.0, 0.0]]
+    exchange = [[0.0, 0.0], [0.0, 0.0]]
+    for w, i, j in spec.pairings():
+        if w == 0.0:
+            continue
+        dia, dib = d[i]
+        dja, djb = d[j]
+        direct[i][j] += w * abs(dia * djb) ** 2
+        direct[j][i] += w * abs(dja * dib) ** 2
+        exchange[i][j] += 2.0 * w * (dia * djb * (dja * dib).conjugate()).real
+    s = np.array([_stokes(spec.axis1, spec.alpha1), _stokes(spec.axis2, spec.alpha2)])
+    k = s.T @ np.array(direct) @ s
+    k += (_EXCHANGE @ (s.T @ np.array(exchange) @ s).reshape(9)).reshape(3, 3)
+    if np.iscomplexobj(k):  # only corrupt, complex weights get here
+        residue = float(np.max(np.abs(k.imag)))
+        if residue > 1e-12 * max(1.0, float(np.max(np.abs(k.real)))):
+            raise ConsistencyError(f"correlation tensor has imaginary residue {residue:.3e}")
+        k = k.real
     if k[0, 0] < _NEGATIVE_TOL:
         raise ConsistencyError(
             f"total coincidence rate {k[0, 0]:.3e} is negative beyond tolerance"
@@ -205,8 +239,11 @@ def outcome_rates(k: np.ndarray, theta_a, theta_b) -> np.ndarray:
     def bars(theta):
         """Rows (1, o cos 2t, o sin 2t) for o = +1, -1 at each angle, shape (2n, 3)."""
         u = _basis_vectors(theta)
-        ones = np.ones((len(u), 1))
-        return np.stack([np.hstack([ones, u]), np.hstack([ones, -u])], axis=1).reshape(-1, 3)
+        bar = np.empty((len(u), 2, 3))
+        bar[:, :, 0] = 1.0
+        bar[:, 0, 1:] = u
+        bar[:, 1, 1:] = -u
+        return bar.reshape(-1, 3)
 
     rates = bars(theta_a) @ k @ bars(theta_b).T
     na, nb = rates.shape[0] // 2, rates.shape[1] // 2

@@ -9,6 +9,7 @@ default.  Internally everything is radians.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +23,21 @@ from .scenarios import ExperimentConfig
 
 SCHEMA_VERSION = 1
 
+#: Exponent numbers such as ``1e3``, ``3e-1`` or ``.5e1``; YAML 1.1 alone
+#: reads them as strings unless the mantissa has a dot and the exponent a sign.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
+def _with_exponent_floats(base: type) -> type:
+    """A subclass of the loader ``base`` that reads ``_EXPONENT_FLOAT`` as a float."""
+    loader = type(f"Exponent{base.__name__}", (base,), {})
+    loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
+    return loader
+
+
 #: libyaml's parser when PyYAML was built with it, else the pure-Python one;
 #: both use the same safe resolver and constructor, so documents are equal.
-_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_LOADER = _with_exponent_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 #: The keys of the root ("") and of each section, as ``dump_config`` writes them.
 _KEYS = {

@@ -96,7 +96,7 @@ def _distributions(model: CorrelationModel, grid_a, grid_b) -> ChannelDistributi
     Rows of ``signal`` and ``background`` follow the grid points in
     row-major order, as the rows of :meth:`CorrelationModel.scan`.
     """
-    _, e_signal, _ = model.correlators(grid_a, grid_b)
+    e_signal = model.signal_correlator(grid_a, grid_b)
     p_signal = (1.0 + np.multiply.outer(e_signal.ravel(), _PRODUCTS)) / 4.0
     if model.w_background > 0.0:
         p_background = outcome_rates(model.k, grid_a, grid_b).reshape(-1, 4) / model.k[0, 0]

@@ -212,9 +212,13 @@ class CorrelationModel:
     sign: float
     k: np.ndarray
 
+    def signal_correlator(self, theta_a, theta_b) -> np.ndarray:
+        """E_signal = sign * cos 2(t_a - t_b) over the outer product of two angle grids."""
+        return np.atleast_2d(self.sign * np.cos(2.0 * np.subtract.outer(theta_a, theta_b)))
+
     def correlators(self, theta_a, theta_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(E, E_signal, E_background) over the outer product of two angle grids."""
-        e_signal = np.atleast_2d(self.sign * np.cos(2.0 * np.subtract.outer(theta_a, theta_b)))
+        e_signal = self.signal_correlator(theta_a, theta_b)
         if self.w_background > 0.0:
             e_background = tensor_correlator(self.k, theta_a, theta_b)
         else:

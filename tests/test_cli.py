@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from helpers import readme_config
+from helpers import flatten, readme_config, readme_example
 
 import skybell
 from skybell import cli, scenarios
@@ -26,7 +27,7 @@ from skybell.cli import (
     read_scan_csv,
     run,
 )
-from skybell.config import dump_config
+from skybell.config import dump_config, load_config
 
 
 @pytest.fixture
@@ -710,14 +711,45 @@ def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
         ("background.weights", {"w12": 0, "w21": 0}),
         # the sum of the weights overflows
         ("background.weights", {"w12": 1e308, "w21": 1e308}),
-        # YAML 1.1 reads an exponent without a dot and a sign as a string
-        ("entangled_fraction", "3e-1"),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
     path = write_variant(tmp_path, "bad.yaml", **{field: value})
     assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+def readme_with(path, field, text):
+    """Write the README example to ``path`` with the value of ``field`` spelt as ``text``."""
+    key = field.rsplit(".", 1)[-1]
+    doc, n = re.subn(rf"(?m)^(\s*{key}:) \S+", rf"\g<1> {text}", readme_example())
+    assert n == 1
+    path.write_text(doc, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("entangled_fraction", "3e-1"),
+        ("geometry.wavenumber", "1e3"),
+        ("background.axis1_deg", "-2E5"),
+        ("background.alpha1", ".5e1"),
+        ("background.alpha2", "1.0e3"),
+    ],
+)
+def test_exponent_config_numbers_load_as_floats(tmp_path, capsys, field, text):
+    # YAML 1.1 alone reads each of these as a string
+    path = readme_with(tmp_path / "exponent.yaml", field, text)
+    assert run(["chsh", "--config", str(path)]) == EXIT_OK
+    decimal = readme_with(tmp_path / "decimal.yaml", field, repr(float(text)))
+    assert flatten(load_config(path)) == flatten(load_config(decimal))
+
+
+def test_a_quoted_exponent_number_is_refused(tmp_path, capsys):
+    path = readme_with(tmp_path / "quoted.yaml", "geometry.wavenumber", '"1e3"')
+    assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
+    assert "geometry.wavenumber: must be a number, got '1e3'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -122,9 +122,9 @@ GRID = ["--grid-a", "0:168.75:16", "--grid-b", "0:168.75:16"]
 # sha256 of each output after its "# manifest:" line
 GOLDEN_OUTPUTS = {
     "scan": (["scan", *GRID],
-             "6814091c6340f87e01b1873ee89b54199c9ef0c779da5409afd762feaf33a370"),
+             "8dd9ef07b844372e8738444a47bc46c74348666a7775b60f4063a54a5a2b3a77"),
     "scan_n": (["scan", *GRID, "--n", "1000", "--seed", "7"],
-               "d1d74c53947027d005d9b14633aa6a465a3ff4bb75ca188cd3719a45b0c9abc9"),
+               "df1379f42572f30d683492f4cbe0c1e0d0b391c0e59c449f33c8376c7d0e0e14"),
     "hbt": (["hbt", "--baseline", "0:100:101", "--random-phases", "--seed", "11"],
             "6874076e812f8e062e46e21dd462bbb9427093beb9b3135b02715e2d48d3f53d"),
 }

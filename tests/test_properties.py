@@ -137,6 +137,27 @@ def test_outcome_rates_are_nonnegative_and_sum_to_the_total(cfg, ta, tb):
     assert abs(np.sum(rates) - k[0, 0]) <= 1e-12 * scale
 
 
+grid_or_scalar = st.one_of(angles, st.lists(angles, min_size=1, max_size=4))
+
+
+@PROPERTY_SETTINGS
+@given(cfg=configs(), ta=grid_or_scalar, tb=grid_or_scalar)
+def test_outcome_rates_are_the_tensor_formula(cfg, ta, tb):
+    k = correlation_tensor(cfg.background, effective_amplitudes(cfg))
+    w = k[0, 0]
+    m_a, m_b, t = k[1:, 0] / w, k[0, 1:] / w, k[1:, 1:] / w
+    rates = outcome_rates(k, ta, tb)
+    assert rates.shape == np.shape(ta) + np.shape(tb) + (len(OUTCOME_PAIRS),)
+    rates = rates.reshape(np.size(ta), np.size(tb), len(OUTCOME_PAIRS))
+    for i, x in enumerate(np.atleast_1d(ta)):
+        u = np.array([math.cos(2.0 * x), math.sin(2.0 * x)])
+        for j, y in enumerate(np.atleast_1d(tb)):
+            v = np.array([math.cos(2.0 * y), math.sin(2.0 * y)])
+            for col, (oa, ob) in enumerate(OUTCOME_PAIRS):
+                expected = w * (1.0 + oa * m_a @ u + ob * m_b @ v + oa * ob * u @ t @ v) / 4.0
+                assert abs(rates[i, j, col] - expected) <= 1e-12 * w
+
+
 @PROPERTY_SETTINGS
 @given(cfg=configs(), ta=st.lists(angles, min_size=1, max_size=4),
        tb=st.lists(angles, min_size=1, max_size=4))
