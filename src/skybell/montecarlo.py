@@ -93,15 +93,14 @@ def channel_distributions(
 def _distributions(model: CorrelationModel, grid_a, grid_b) -> ChannelDistributions:
     """Channel distributions over the outer product of two angle grids.
 
-    Rows of ``signal`` and ``background`` follow the grid points in
-    row-major order, as the rows of :meth:`CorrelationModel.scan`.
+    Row i of ``signal`` and ``background`` is ``outcome_rates(k, ...) / k[0, 0]``
+    of the channel's tensor at grid point i, in row-major order as the rows
+    of :meth:`CorrelationModel.scan`.
     """
-    e_signal = model.signal_correlator(grid_a, grid_b)
-    p_signal = (1.0 + np.multiply.outer(e_signal.ravel(), _PRODUCTS)) / 4.0
-    if model.w_background > 0.0:
-        p_background = outcome_rates(model.k, grid_a, grid_b).reshape(-1, 4) / model.k[0, 0]
-    else:
-        p_background = np.zeros_like(p_signal)
+    p_signal, p_background = (
+        outcome_rates(k, grid_a, grid_b).reshape(-1, 4) / k[0, 0]
+        for k in (model.k_signal, model.k)
+    )
 
     def truncate(p: np.ndarray) -> np.ndarray:
         p = np.clip(p, 0.0, 1.0)

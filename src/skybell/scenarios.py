@@ -14,11 +14,12 @@ A coincidence correlator is the rate-weighted mixture
 
     E = [f w_sig E_sig + (1 - f) w_bg E_bg] / [f w_sig + (1 - f) w_bg]
 
-of the entangled-pair correlator (+-cos 2(t_a - t_b) times the
-propagation weight) and the unentangled-background correlator, where f
-is the entangled fraction of emitted pairs.  Neither weight depends on
-the polarizer angles, so the mixture preserves each component's angular
-shape.
+of the entangled-pair correlator and the unentangled-background
+correlator, where f is the entangled fraction of emitted pairs.  Each
+channel is one 3x3 tensor in the basis (I, sigma_z, sigma_x), read by
+the same code: diag(1, +-1, +-1) for the entangled pairs and K for the
+background.  Neither weight depends on the polarizer angles, so the
+mixture preserves each component's angular shape.
 """
 
 from __future__ import annotations
@@ -196,33 +197,27 @@ class ScanResult:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:
-    """Both channels of one config in the (cos 2t, sin 2t) polarizer basis.
+    """Both channels of one config as 3x3 tensors in the (I, sigma_z, sigma_x) basis.
 
     w_signal = f w_sig and w_background = (1 - f) w are the rate weights
-    of the mixture.  The entangled channel has no marginals and the
-    correlation tensor sign * I, so its correlator is
-    sign * cos 2(t_a - t_b); ``k`` is the background's tensor from
-    :func:`skybell.background.correlation_tensor`, read-only.  Each config
-    builds one on first use (:func:`correlation_model`); nothing here
-    depends on the settings.
+    of the mixture.  ``k_signal`` = diag(1, s, s), s = +-1 by bell_kind,
+    is the entangled channel; ``k`` is the background's tensor from
+    :func:`skybell.background.correlation_tensor`, or diag(1, 0, 0) when
+    its weight is zero: E_background then reads 0 with no 0/0, and its
+    uniform outcome distribution draws nothing, as its channel gets no
+    trials.  Both are read-only; each config builds one model on first
+    use (:func:`correlation_model`), independent of the settings.
     """
 
     w_signal: float
     w_background: float
-    sign: float
+    k_signal: np.ndarray
     k: np.ndarray
-
-    def signal_correlator(self, theta_a, theta_b) -> np.ndarray:
-        """E_signal = sign * cos 2(t_a - t_b) over the outer product of two angle grids."""
-        return np.atleast_2d(self.sign * np.cos(2.0 * np.subtract.outer(theta_a, theta_b)))
 
     def correlators(self, theta_a, theta_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(E, E_signal, E_background) over the outer product of two angle grids."""
-        e_signal = self.signal_correlator(theta_a, theta_b)
-        if self.w_background > 0.0:
-            e_background = tensor_correlator(self.k, theta_a, theta_b)
-        else:
-            e_background = np.zeros_like(e_signal)
+        e_signal = tensor_correlator(self.k_signal, theta_a, theta_b)
+        e_background = tensor_correlator(self.k, theta_a, theta_b)
         e = (self.w_signal * e_signal + self.w_background * e_background) / (
             self.w_signal + self.w_background
         )
@@ -273,13 +268,12 @@ def _build_model(cfg: ExperimentConfig) -> CorrelationModel:
             "total coincidence weight is zero: no entangled rate and no "
             "background rate at these settings"
         )
-    k.setflags(write=False)  # shared by every caller of the cached model
-    return CorrelationModel(
-        w_signal=w_signal,
-        w_background=w_background,
-        sign=1.0 if cfg.bell_kind == 1 else -1.0,
-        k=k,
-    )
+    if w_background == 0.0:
+        k = np.diag([1.0, 0.0, 0.0])
+    k_signal = np.diag([1.0, 1.0, 1.0] if cfg.bell_kind == 1 else [1.0, -1.0, -1.0])
+    for tensor in (k_signal, k):
+        tensor.setflags(write=False)  # shared by every caller of the cached model
+    return CorrelationModel(w_signal=w_signal, w_background=w_background, k_signal=k_signal, k=k)
 
 
 def angular_scan(cfg: ExperimentConfig, grid_a, grid_b) -> ScanResult:

@@ -122,9 +122,9 @@ GRID = ["--grid-a", "0:168.75:16", "--grid-b", "0:168.75:16"]
 # sha256 of each output after its "# manifest:" line
 GOLDEN_OUTPUTS = {
     "scan": (["scan", *GRID],
-             "8dd9ef07b844372e8738444a47bc46c74348666a7775b60f4063a54a5a2b3a77"),
+             "58f7e84edbaa3093dd9e47fa8d61ae5419f6a9f0a5f06280575228b922339363"),
     "scan_n": (["scan", *GRID, "--n", "1000", "--seed", "7"],
-               "df1379f42572f30d683492f4cbe0c1e0d0b391c0e59c449f33c8376c7d0e0e14"),
+               "a090d7ba1b50fe683aa968ac28b69ed3dc336e8dd8774e8b177795a72cb86af6"),
     "hbt": (["hbt", "--baseline", "0:100:101", "--random-phases", "--seed", "11"],
             "6874076e812f8e062e46e21dd462bbb9427093beb9b3135b02715e2d48d3f53d"),
 }

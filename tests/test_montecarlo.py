@@ -124,6 +124,27 @@ def test_estimate_chsh_pure_signal():
     assert abs(s_hat - TSIRELSON_BOUND) < 4.0 * stderr
 
 
+@pytest.mark.parametrize("cfg", [
+    make_config(scenario="I", bell_kind=2, fraction=1.0, alpha1=2.0, axis1=0.4, w11=0.5),
+    # masked cross legs leave no rate to a same-source pairing: K = 0
+    make_config(scenario="II", fraction=0.4, w12=0.0, w21=0.0, w11=1.0),
+], ids=["f=1", "zero-K"])
+def test_a_background_of_zero_weight_reads_and_draws_as_pure_signal(cfg):
+    model = correlation_model(cfg)
+    assert model.w_background == 0.0
+    pure = make_config(scenario=cfg.scenario, bell_kind=cfg.bell_kind, fraction=1.0)
+    grid = np.linspace(0.0, math.pi, 6, endpoint=False)
+    scan = angular_scan(cfg, grid, grid)
+    # warnings are errors here, so no 0/0 went into these columns
+    assert np.all(scan.e_background == 0.0)
+    assert np.all(np.isfinite(scan.e))
+    assert np.max(np.abs(scan.e - scan.e_signal)) <= 1e-15
+    sampled = sample_scan(cfg, grid, grid, n_per_point=5_000, seed=3)
+    assert np.array_equal(sampled.e, sample_scan(pure, grid, grid, n_per_point=5_000, seed=3).e)
+    chsh = ChshConfiguration.saturating()
+    assert estimate_chsh(cfg, chsh, 10_000, seed=4) == estimate_chsh(pure, chsh, 10_000, seed=4)
+
+
 def test_sampling_error_shrinks_like_root_n():
     cfg = make_config(fraction=0.3)
     truth = coincidence_correlator(cfg, A, B).e

@@ -21,6 +21,7 @@ from skybell import (
     ChshConfiguration,
     ConfigError,
     PolarizerAxis,
+    bell_state,
     chsh_square_spectral_bound,
     chsh_with_background,
     cli,
@@ -89,12 +90,16 @@ def test_projector_is_the_closed_form_bitwise(t):
 @PROPERTY_SETTINGS
 @given(cfg=configs())
 def test_tensor_is_the_density_matrix_contraction(cfg):
+    def contraction(rho):
+        return np.array([[np.trace(np.kron(bm, bn) @ rho).real for bn in PAULI] for bm in PAULI])
+
     rho = effective_density_matrix(cfg.background, effective_amplitudes(cfg))
     k = correlation_tensor(cfg.background, effective_amplitudes(cfg))
-    expected = np.array(
-        [[np.trace(np.kron(bm, bn) @ rho).real for bn in PAULI] for bm in PAULI]
-    )
+    expected = contraction(rho)
     assert np.max(np.abs(k - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+    # the entangled channel's tensor is the same contraction of its Bell state
+    expected = contraction(bell_state(cfg.bell_kind).density())
+    assert np.max(np.abs(correlation_model(cfg).k_signal - expected)) <= 1e-15
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)

@@ -185,6 +185,8 @@ def test_model_is_built_once_per_config_and_read_only():
     assert correlation_model(cfg) is model
     with pytest.raises(ValueError):
         model.k[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        model.k_signal[1, 1] = -1.0
     # a replaced config is a new instance and builds its own model
     other = correlation_model(dataclasses.replace(cfg, entangled_fraction=0.6))
     fresh = correlation_model(make_config(fraction=0.6))
