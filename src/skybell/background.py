@@ -224,9 +224,30 @@ def _basis_vectors(theta) -> np.ndarray:
     return np.column_stack([np.cos(t), np.sin(t)])
 
 
-def tensor_correlator(k: np.ndarray, theta_a, theta_b) -> np.ndarray:
-    """u^T T v = u^T K[1:, 1:] v / K[0, 0] over the outer product of two angle grids."""
-    return _basis_vectors(theta_a) @ k[1:, 1:] @ _basis_vectors(theta_b).T / k[0, 0]
+def tensor_correlator(k: np.ndarray, u_a: np.ndarray, u_b: np.ndarray) -> np.ndarray:
+    """u^T T v = u^T K[1:, 1:] v / K[0, 0] over every row u of ``u_a`` and v of ``u_b``.
+
+    The rows are the :func:`_basis_vectors` of two angle grids, so one
+    basis per grid serves every tensor read on it.
+    """
+    return u_a @ k[1:, 1:] @ u_b.T / k[0, 0]
+
+
+def _outcome_vectors(theta) -> np.ndarray:
+    """Rows (1, o cos 2t, o sin 2t) for o = +1, -1 at each angle of ``theta``, shape (2n, 3)."""
+    u = _basis_vectors(theta)
+    bar = np.empty((len(u), 2, 3))
+    bar[:, :, 0] = 1.0
+    bar[:, 0, 1:] = u
+    bar[:, 1, 1:] = -u
+    return bar.reshape(-1, 3)
+
+
+def _outcome_rates(k: np.ndarray, bars_a: np.ndarray, bars_b: np.ndarray) -> np.ndarray:
+    """:func:`outcome_rates` from the :func:`_outcome_vectors` of two grids, shape (na, nb, 4)."""
+    rates = bars_a @ k @ bars_b.T
+    na, nb = rates.shape[0] // 2, rates.shape[1] // 2
+    return rates.reshape(na, 2, nb, 2).transpose(0, 2, 1, 3).reshape(na, nb, 4) / 4.0
 
 
 def outcome_rates(k: np.ndarray, theta_a, theta_b) -> np.ndarray:
@@ -235,20 +256,8 @@ def outcome_rates(k: np.ndarray, theta_a, theta_b) -> np.ndarray:
     Point (i, j) of the grids holds its four rates in the last axis; a
     scalar angle has no axis, so one setting pair gives a 4-vector.
     """
-
-    def bars(theta):
-        """Rows (1, o cos 2t, o sin 2t) for o = +1, -1 at each angle, shape (2n, 3)."""
-        u = _basis_vectors(theta)
-        bar = np.empty((len(u), 2, 3))
-        bar[:, :, 0] = 1.0
-        bar[:, 0, 1:] = u
-        bar[:, 1, 1:] = -u
-        return bar.reshape(-1, 3)
-
-    rates = bars(theta_a) @ k @ bars(theta_b).T
-    na, nb = rates.shape[0] // 2, rates.shape[1] // 2
-    rates = rates.reshape(na, 2, nb, 2).transpose(0, 2, 1, 3)
-    return rates.reshape(np.shape(theta_a) + np.shape(theta_b) + (4,)) / 4.0
+    rates = _outcome_rates(k, _outcome_vectors(theta_a), _outcome_vectors(theta_b))
+    return rates.reshape(np.shape(theta_a) + np.shape(theta_b) + (4,))
 
 
 def background_correlator(
@@ -265,7 +274,7 @@ def background_correlator(
             "total background rate is zero for these weights/amplitudes; "
             "no correlator is defined"
         )
-    return float(tensor_correlator(k, a.angle, b.angle)[0, 0])
+    return float(tensor_correlator(k, _basis_vectors(a.angle), _basis_vectors(b.angle))[0, 0])
 
 
 #: Index order that swaps which photon each detector gets: kron(b, a) is

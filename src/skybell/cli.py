@@ -4,21 +4,22 @@ Every output file is paired with a JSON run manifest (same path plus
 ".manifest.json") recording the command, config, seed and outputs; CSV
 files carry a leading "# manifest: ..." comment pointing back at it.
 Floats are written with full repr precision so files round-trip exactly;
-each distinct value of a column is formatted once (``_csv_rows``).
+each distinct value of the table is formatted once (``_csv_rows``).
 
 A run renders the whole text of its output, then ``_publish`` writes it
-and its manifest in one step (``_write_fresh``): both texts go to new
-``<name>.tmp`` files before anything is moved, the previous files are moved
-aside to ``<name>.old``, the temp files are renamed onto the free names and
-the old files are unlinked.  No rename lands on an existing name and
-nothing is truncated: on ext4 (default ``auto_da_alloc``) either forces a
-writeback that blocks a re-run onto an existing output for tens of
-milliseconds per file; a run onto a new path never paid it.  A run that
-raises (Ctrl-C included) leaves the previous output and manifest as they
-were, and a killed one may leave them at ``<name>.old``, so a manifest
-never lists a file that was not written.  Nothing calls fsync: the files
-are not promised to survive a power loss, and a reader racing a re-run may
-briefly find no file.
+and its manifest in one step (``_write_fresh``): both texts go to
+``<name>.tmp`` files before anything is moved, each created exclusively, so
+a stale one (a symlink included) is unlinked, never written through.  The
+previous files are then moved aside to ``<name>.old``, the temp files are
+renamed onto the free names and the old files are unlinked.  No rename
+lands on an existing name and nothing is truncated: on ext4 (default
+``auto_da_alloc``) either forces a writeback that blocks a re-run onto an
+existing output for tens of milliseconds per file; a run onto a new path
+never paid it.  A run that raises (Ctrl-C included) leaves the previous
+output and manifest as they were, and a killed one may leave them at
+``<name>.old``, so a manifest never lists a file that was not written.
+Nothing calls fsync: the files are not promised to survive a power loss,
+and a reader racing a re-run may briefly find no file.
 
 Each call builds its argument parser anew and, when it names a
 subcommand, only that subcommand's parser (``COMMANDS``); the full tree is
@@ -69,86 +70,100 @@ def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.name + ".manifest.json")
 
 
+def _unlink_if_present(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+
+
+def _create(path: str, data: bytes) -> None:
+    """Write ``data`` to a file created at ``path``; a stale file there is replaced.
+
+    The create is exclusive, so a symlink left at ``path`` is unlinked and
+    its target never written.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileExistsError:
+        os.unlink(path)
+        fd = os.open(path, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def _write_fresh(files) -> None:
     """Write each ``(path, text)`` as a fresh file, all or none of them.
 
-    Every text first goes to a new ``<name>.tmp``; only then is each
-    existing file moved aside to ``<name>.old`` and each temp file renamed
-    onto its free name, in list order, and the old files unlinked.  Stale
-    ``.tmp`` and ``.old`` files are removed before their names are used.
-    If anything raises, the temp and new files are removed and every moved
-    file is put back.  A directory at any path is refused, not moved.
+    Every text first goes to a newly created ``<name>.tmp``; only then is
+    each existing file moved aside to ``<name>.old`` and each temp file
+    renamed onto its free name, in list order, and the old files unlinked.
+    Stale ``.tmp`` and ``.old`` files are removed before their names are
+    used.  If anything raises, the temp and new files are removed and every
+    moved file is put back.  A directory at any path is refused, not moved.
     """
-    for path, _ in files:
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    names = [(path, path.with_name(path.name + ".tmp"), path.with_name(path.name + ".old"))
-             for path, _ in files]
+    names = [(os.fspath(path), text) for path, text in files]
+    for path, _ in names:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     moved, renamed = [], []
     try:
-        for (path, tmp, _), (_, text) in zip(names, files):
+        for path, text in names:
             try:
-                tmp.unlink(missing_ok=True)
-                tmp.write_text(text, encoding="utf-8")
+                _create(path + ".tmp", text.encode("utf-8"))
             except OSError as exc:  # name the file asked for, not its temp file
-                exc.filename = str(path)
+                exc.filename = path
                 raise
-        for path, _, old in names:
-            old.unlink(missing_ok=True)
+        for path, _ in names:
+            _unlink_if_present(path + ".old")
             with contextlib.suppress(FileNotFoundError):
-                path.rename(old)
-                moved.append((old, path))
-        for path, tmp, _ in names:
-            tmp.rename(path)
+                os.rename(path, path + ".old")
+                moved.append(path)
+        for path, _ in names:
+            os.rename(path + ".tmp", path)
             renamed.append(path)
     except BaseException:
-        for _, tmp, _ in names:
-            tmp.unlink(missing_ok=True)
+        for path, _ in names:
+            _unlink_if_present(path + ".tmp")
         for path in renamed:
-            path.unlink()
-        for old, path in moved:
-            old.rename(path)
+            os.unlink(path)
+        for path in moved:
+            os.rename(path + ".old", path)
         raise
-    for old, _ in moved:
-        old.unlink()
+    for path in moved:
+        os.unlink(path + ".old")
 
 
 def _publish(out: Path, text: str, command: str, argv, config_path, seed) -> None:
     """Write ``text`` to ``out`` and its run manifest beside it, in one step."""
+    out = os.fspath(out)
     manifest = {
         "command": command,
         "argv": list(argv),
         "config_path": str(config_path) if config_path else None,
         "seed": seed,
-        "outputs": [str(out)],
+        "outputs": [out],
         "tool": "skybell",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _write_fresh([(out, text), (_manifest_path(out), json.dumps(manifest, indent=2) + "\n")])
+    _write_fresh([(out, text), (out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")])
 
 
 def _csv_rows(*columns):
     """One CSV line per row of the columns, each value as the repr of a Python float.
 
-    Each distinct value of a column is formatted once.  Values are keyed by
-    their bits in a dict, so -0.0 and 0.0 (and every NaN) keep their own
-    repr, and the lines are the same as formatting every value.  A column
-    with no repeat is formatted row by row and the lines are made as they
-    are read, so no column's strings are all held at once.
+    Each distinct value of the whole table is formatted once.  Values are
+    told apart by their bits, so -0.0 and 0.0 (and every NaN) keep their
+    own repr, and the lines are the same as formatting every value.
     """
-    formatted = []
-    for column in columns:
-        column = np.asarray(column, dtype=float)
-        bits = column.view(np.int64).tolist()
-        texts = dict.fromkeys(bits)
-        if len(texts) == len(bits):
-            formatted.append(map(repr, column.tolist()))
-        else:
-            values = np.array(list(texts), dtype=np.int64).view(float).tolist()
-            texts = dict(zip(texts, map(repr, values)))
-            formatted.append(map(texts.__getitem__, bits))
-    return map(",".join, zip(*formatted))
+    table = np.array(columns, dtype=float).T
+    bits, cells = np.unique(table.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return map(",".join, texts[cells.reshape(table.shape)].tolist())
 
 
 def _csv_text(header, columns, manifest_name: str | None) -> str:

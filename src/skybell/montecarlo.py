@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import OUTCOME_PAIRS, outcome_rates
+from .background import OUTCOME_PAIRS, _outcome_rates, _outcome_vectors
 from .polarization import ChshConfiguration, PolarizerAxis
 from .scenarios import (
     CorrelationModel,
@@ -97,8 +97,9 @@ def _distributions(model: CorrelationModel, grid_a, grid_b) -> ChannelDistributi
     of the channel's tensor at grid point i, in row-major order as the rows
     of :meth:`CorrelationModel.scan`.
     """
+    bars_a, bars_b = _outcome_vectors(grid_a), _outcome_vectors(grid_b)
     p_signal, p_background = (
-        outcome_rates(k, grid_a, grid_b).reshape(-1, 4) / k[0, 0]
+        _outcome_rates(k, bars_a, bars_b).reshape(-1, 4) / k[0, 0]
         for k in (model.k_signal, model.k)
     )
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import BackgroundSpec, correlation_tensor, tensor_correlator
+from .background import BackgroundSpec, _basis_vectors, correlation_tensor, tensor_correlator
 from .errors import DegenerateDesignError
 from .polarization import TSIRELSON_BOUND, ChshConfiguration, PolarizerAxis
 from .propagation import (
@@ -216,8 +216,8 @@ class CorrelationModel:
 
     def correlators(self, theta_a, theta_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(E, E_signal, E_background) over the outer product of two angle grids."""
-        e_signal = tensor_correlator(self.k_signal, theta_a, theta_b)
-        e_background = tensor_correlator(self.k, theta_a, theta_b)
+        u_a, u_b = _basis_vectors(theta_a), _basis_vectors(theta_b)
+        e_signal, e_background = (tensor_correlator(k, u_a, u_b) for k in (self.k_signal, self.k))
         e = (self.w_signal * e_signal + self.w_background * e_background) / (
             self.w_signal + self.w_background
         )

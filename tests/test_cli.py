@@ -847,15 +847,15 @@ def test_manifest_format_is_pinned(config_path, scan_csv, tmp_path, argv, with_c
 
 def refuse_temp_renames(monkeypatch, error):
     """Make renaming a ``*.tmp`` file raise ``error``, once its target name is free."""
-    rename = Path.rename
+    rename = os.rename
 
-    def refuse_temp(self, target):
-        if self.name.endswith(".tmp"):
-            assert not Path(target).exists()  # the previous file is already aside
-            raise error(f"cannot rename {self} to {target}")
-        return rename(self, target)
+    def refuse_temp(source, target):
+        if os.fspath(source).endswith(".tmp"):
+            assert not os.path.exists(target)  # the previous file is already aside
+            raise error(f"cannot rename {source} to {target}")
+        return rename(source, target)
 
-    monkeypatch.setattr(Path, "rename", refuse_temp)
+    monkeypatch.setattr(os, "rename", refuse_temp)
 
 
 def test_stale_temp_files_are_replaced_not_written_through(config_path, tmp_path, monkeypatch):
@@ -880,6 +880,53 @@ def test_stale_temp_files_are_replaced_not_written_through(config_path, tmp_path
     assert len(read_scan_csv(out)) == 4
     assert json.loads((tmp_path / "scan.csv.manifest.json").read_text())["command"] == "scan"
     assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob("*.old"))
+
+
+@pytest.mark.parametrize("target", ["keep.txt", "missing.txt"], ids=["unrelated", "dangling"])
+def test_a_stale_temp_symlink_is_replaced_not_followed(config_path, tmp_path, target):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "scan.csv"
+    keep = tmp_path / "keep.txt"
+    keep.write_text("keep\n", encoding="utf-8")
+    for name in ("scan.csv.tmp", "scan.csv.manifest.json.tmp"):
+        os.symlink(tmp_path / target, runs / name)
+    argv = ["scan", "--config", str(config_path), "--grid-a", "0:90:2",
+            "--grid-b", "0:90:2", "--out", str(out)]
+
+    assert run(argv) == EXIT_OK
+    assert keep.read_text(encoding="utf-8") == "keep\n"
+    assert not (tmp_path / "missing.txt").exists()
+    assert sorted(p.name for p in runs.iterdir()) == ["scan.csv", "scan.csv.manifest.json"]
+    assert not out.is_symlink() and len(read_scan_csv(out)) == 4
+    assert json.loads((runs / "scan.csv.manifest.json").read_text())["outputs"] == [str(out)]
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_short_writes_still_write_every_byte(config_path, scan_csv, tmp_path, monkeypatch, argv):
+    whole, short = (tmp_path / side / "out" for side in ("whole", "short"))
+    for out in (whole, short):
+        out.parent.mkdir()
+    assert run(fill(argv, config_path, scan_csv) + ["--out", str(whole)]) == EXIT_OK
+
+    write, written = os.write, []
+
+    def write_at_most_7_bytes(fd, data):
+        written.append(write(fd, data[:7]))
+        return written[-1]
+
+    monkeypatch.setattr(os, "write", write_at_most_7_bytes)
+    short_argv = fill(argv, config_path, scan_csv) + ["--out", str(short)]
+    assert run(short_argv) == EXIT_OK
+    monkeypatch.undo()
+
+    manifest_path = short.with_name("out.manifest.json")
+    assert short.read_bytes() == whole.read_bytes()
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert manifest["argv"] == short_argv and manifest["outputs"] == [str(short)]
+    assert manifest_path.read_text(encoding="utf-8") == json.dumps(manifest, indent=2) + "\n"
+    assert max(written) == 7
+    assert sum(written) == short.stat().st_size + manifest_path.stat().st_size
 
 
 @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
@@ -920,16 +967,16 @@ def test_failed_manifest_write_keeps_previous_output_and_manifest(
     assert run(first) == EXIT_OK
     old_bytes = [out.read_bytes(), manifest_path.read_bytes()]
 
-    write_text = Path.write_text
+    open_file = os.open
 
-    def disk_full_at_manifest(self, *args, **kwargs):
-        if self.name.endswith(".manifest.json.tmp"):
+    def disk_full_at_manifest(path, *args, **kwargs):
+        if os.fspath(path).endswith(".manifest.json.tmp"):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)) if error is OSError else error
-        return write_text(self, *args, **kwargs)
+        return open_file(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", disk_full_at_manifest)
+    monkeypatch.setattr(os, "open", disk_full_at_manifest)
     # both texts are written before any file is moved, so nothing is renamed
-    monkeypatch.setattr(Path, "rename", lambda self, target: pytest.fail(f"renamed {self}"))
+    monkeypatch.setattr(os, "rename", lambda source, target: pytest.fail(f"renamed {source}"))
     if error is OSError:
         assert run(second) == EXIT_IO
     else:
@@ -948,15 +995,15 @@ def test_failed_manifest_rename_takes_the_new_output_back(config_path, tmp_path,
     if rerun:
         assert run(argv[:4] + ["0:90:3"] + argv[5:]) == EXIT_OK
     before = {p.name: p.read_bytes() for p in runs.iterdir()}
-    rename = Path.rename
+    rename = os.rename
 
-    def refuse_manifest(self, target):
-        if self.name.endswith(".manifest.json.tmp"):
-            raise OSError(errno.EIO, f"cannot rename {self} to {target}")
-        return rename(self, target)
+    def refuse_manifest(source, target):
+        if os.fspath(source).endswith(".manifest.json.tmp"):
+            raise OSError(errno.EIO, f"cannot rename {source} to {target}")
+        return rename(source, target)
 
     # the output is already renamed onto its name when its manifest fails
-    monkeypatch.setattr(Path, "rename", refuse_manifest)
+    monkeypatch.setattr(os, "rename", refuse_manifest)
     assert run(argv) == EXIT_IO
     assert {p.name: p.read_bytes() for p in runs.iterdir()} == before
 
