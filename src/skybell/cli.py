@@ -520,6 +520,9 @@ def run(argv=None) -> int:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        out = getattr(args, "out", None)
+        if out is not None and not Path(out).name:  # '', '.', '/'
+            raise OSError(f"--out {out!r} names no file")
         return args.func(args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ def _as_point(value, name: str) -> np.ndarray:
     p = np.array(value, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError(f"{name} must be finite")
     p.setflags(write=False)
     return p
@@ -68,22 +68,24 @@ class Geometry:
         if not math.isfinite(k) or k <= 0.0:
             raise ValueError(f"wavenumber must be finite and > 0, got {self.wavenumber!r}")
         object.__setattr__(self, "wavenumber", k)
-        _check_legs(self.path_lengths())
+        lengths = tuple(
+            float(np.linalg.norm(s - d))
+            for d in (self.detector_a, self.detector_b)
+            for s in (self.source1, self.source2)
+        )
+        _check_legs(lengths)
+        object.__setattr__(self, "_lengths", lengths)
 
     def path_lengths(self) -> tuple[float, float, float, float]:
-        """Leg lengths (r_1A, r_2A, r_1B, r_2B)."""
-        return (
-            float(np.linalg.norm(self.source1 - self.detector_a)),
-            float(np.linalg.norm(self.source2 - self.detector_a)),
-            float(np.linalg.norm(self.source1 - self.detector_b)),
-            float(np.linalg.norm(self.source2 - self.detector_b)),
-        )
+        """Leg lengths (r_1A, r_2A, r_1B, r_2B), measured once, at construction."""
+        return self._lengths
 
 
 def _check_legs(lengths) -> None:
     """Every leg length (r_1A, r_2A, r_1B, r_2B), floats or arrays, must be > 0."""
     for r, name in zip(lengths, ("1->A", "2->A", "1->B", "2->B")):
-        if np.any(r <= 0.0):
+        # np.any on a Python float would cost more than measuring the leg
+        if (r <= 0.0).any() if isinstance(r, np.ndarray) else r <= 0.0:
             raise ValueError(f"source/detector pair {name} is coincident")
 
 
@@ -113,8 +115,14 @@ class PathAmplitudeSet:
     def __post_init__(self):
         for name in ("d1a", "d2a", "d1b", "d2b"):
             v = getattr(self, name)
-            v = complex(v) if np.ndim(v) == 0 else np.asarray(v, dtype=complex)
-            if not np.all(np.isfinite(v)):
+            # a scalar leg is checked in Python: numpy's checks cost ~10 us a number
+            if isinstance(v, (int, float, complex)) or np.ndim(v) == 0:
+                v = complex(v)
+                finite = math.isfinite(v.real) and math.isfinite(v.imag)
+            else:
+                v = np.asarray(v, dtype=complex)
+                finite = np.all(np.isfinite(v))
+            if not finite:
                 raise ValueError(f"amplitude {name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
 

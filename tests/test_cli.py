@@ -1018,6 +1018,27 @@ def test_a_directory_at_the_manifest_path_exits_four(config_path, tmp_path):
     assert (tmp_path / "scan.csv.manifest.json").is_dir()
 
 
+@pytest.mark.parametrize("out", ["", ".", "/"], ids=["empty", "dot", "root"])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_an_out_without_a_file_name_exits_four_before_any_work(
+    config_path, scan_csv, tmp_path, monkeypatch, capsys, argv, out
+):
+    def unreachable(path):
+        raise AssertionError(f"read {path} before refusing --out")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "load_config", unreachable)
+    monkeypatch.setattr(cli, "read_scan_csv", unreachable)
+    written = [out + suffix for suffix in (".manifest.json", ".tmp", ".manifest.json.tmp")]
+    before = sorted(os.listdir(tmp_path)), [os.path.lexists(p) for p in written]
+    capsys.readouterr()
+    assert run(fill(argv, config_path, scan_csv) + ["--out", out]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"i/o error: --out {out!r} names no file\n"
+    assert (sorted(os.listdir(tmp_path)), [os.path.lexists(p) for p in written]) == before
+
+
 def test_config_that_is_not_utf8_exits_two(config_path, capsys):
     config_path.write_bytes(config_path.read_bytes() + b"# \xff\n")
     assert run(["chsh", "--config", str(config_path)]) == EXIT_CONFIG

@@ -18,11 +18,34 @@ from skybell import (
     sample_coincidences,
     sample_scan,
 )
-from skybell.montecarlo import _SCAN_WORD, _distributions, _stream
+from skybell import montecarlo
+from skybell.montecarlo import MAX_SAMPLE_SIZE, _SCAN_WORD, _distributions, _stream
 from skybell.scenarios import correlation_model
 
 A = PolarizerAxis(0.2)
 B = PolarizerAxis(0.7)
+
+
+def fresh_philox_counts(cfg, a, b, n, seed, setting_index):
+    """Counts of one setting drawn from a newly built Philox keyed (seed, index << 32)."""
+    key = np.array([seed, setting_index << 32], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    dists = channel_distributions(cfg, a, b)
+    n_signal = rng.binomial(n, dists.p_signal_channel)
+    counts = rng.multinomial(n_signal, dists.signal) + rng.multinomial(
+        n - n_signal, dists.background
+    )
+    return tuple(counts.tolist())
+
+
+def chsh_reference(cfg, chsh, n, seed):
+    """S and its standard error from one sample_coincidences call per CHSH term."""
+    estimates = [
+        estimate_correlator(sample_coincidences(cfg, a, b, n, seed, setting_index=i))
+        for i, (a, b, _) in enumerate(chsh.terms())
+    ]
+    s_ref = sum(sign * est.e_hat for (_, _, sign), est in zip(chsh.terms(), estimates))
+    return s_ref, math.sqrt(sum(est.stderr**2 for est in estimates))
 
 
 def test_channel_distributions_are_normalized():
@@ -234,13 +257,8 @@ def test_stream_key_validation():
     # setting i reads the stream keyed (seed, i << 32); no setting word is the scan word
     assert _SCAN_WORD & 0xFFFFFFFF
     batch = sample_coincidences(cfg, A, B, 1000, seed=6, setting_index=3)
-    rng = np.random.Generator(np.random.Philox(key=np.array([6, 3 << 32], dtype=np.uint64)))
-    dists = channel_distributions(cfg, A, B)
-    n_signal = rng.binomial(1000, dists.p_signal_channel)
-    counts = rng.multinomial(n_signal, dists.signal) + rng.multinomial(
-        1000 - n_signal, dists.background
-    )
-    assert (batch.n_pp, batch.n_pm, batch.n_mp, batch.n_mm) == tuple(counts)
+    counts = fresh_philox_counts(cfg, A, B, 1000, seed=6, setting_index=3)
+    assert (batch.n_pp, batch.n_pm, batch.n_mp, batch.n_mm) == counts
 
 
 def test_chsh_terms_sample_as_single_settings():
@@ -259,10 +277,51 @@ def test_chsh_terms_sample_as_single_settings():
                           geometry=geometry, normalization=normalization, w11=0.2, w22=0.1)
         chsh = ChshConfiguration(*(PolarizerAxis(float(t)) for t in rng.uniform(-4.0, 4.0, 4)))
         n, seed = int(rng.integers(1, 10**12)), int(rng.integers(0, 2**63))
-        estimates = [
-            estimate_correlator(sample_coincidences(cfg, a, b, n, seed, setting_index=i))
-            for i, (a, b, _) in enumerate(chsh.terms())
-        ]
-        s_ref = sum(sign * est.e_hat for (_, _, sign), est in zip(chsh.terms(), estimates))
-        stderr_ref = math.sqrt(sum(est.stderr**2 for est in estimates))
-        assert estimate_chsh(cfg, chsh, n, seed) == (s_ref, stderr_ref)
+        assert estimate_chsh(cfg, chsh, n, seed) == chsh_reference(cfg, chsh, n, seed)
+
+
+@pytest.mark.parametrize("seed, n", [
+    (0, 10**9), ((1 << 64) - 1, 10**9), (3, MAX_SAMPLE_SIZE), ((1 << 64) - 1, MAX_SAMPLE_SIZE),
+])
+def test_chsh_streams_hold_at_the_key_and_size_limits(seed, n):
+    # one re-keyed Philox per call draws what a new Philox per term draws
+    cfg = make_config(scenario="II", fraction=0.4, alpha1=0.8, alpha2=1.7, axis1=0.3)
+    chsh = ChshConfiguration.saturating()
+    for i, (a, b, _) in enumerate(chsh.terms()):
+        batch = sample_coincidences(cfg, a, b, n, seed, setting_index=i)
+        counts = (batch.n_pp, batch.n_pm, batch.n_mp, batch.n_mm)
+        assert counts == fresh_philox_counts(cfg, a, b, n, seed, i)
+    assert estimate_chsh(cfg, chsh, n, seed) == chsh_reference(cfg, chsh, n, seed)
+
+
+def test_back_to_back_chsh_calls_share_no_stream_state():
+    cfg = make_config(scenario="I", fraction=0.3, w11=0.2)
+    chsh = ChshConfiguration.saturating()
+    alone = {seed: chsh_reference(cfg, chsh, 10**6, seed) for seed in (5, 6)}
+    for order in ((5, 6), (6, 5)):
+        assert {seed: estimate_chsh(cfg, chsh, 10**6, seed) for seed in order} == alone
+
+
+@pytest.mark.parametrize("word", [0, 3 << 32, _SCAN_WORD, (1 << 64) - 1])
+def test_a_used_philox_is_re_keyed_to_the_state_of_a_new_one(word):
+    philox = np.random.Philox(0)
+    used = np.random.Generator(philox)
+    used.random(3, dtype=np.float32)  # leaves a spare 32-bit word and a part-read buffer
+    assert philox.state["has_uint32"] == 1 and philox.state["buffer_pos"] != 4
+    state = _stream((1 << 64) - 1, word, philox).bit_generator.state
+    new = np.random.Philox(key=np.array([(1 << 64) - 1, word], dtype=np.uint64)).state
+    for field in ("counter", "key"):
+        assert np.array_equal(state["state"][field], new["state"][field])
+    assert np.array_equal(state["buffer"], new["buffer"])
+    assert [state[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
+        new[k] for k in ("buffer_pos", "has_uint32", "uinteger")
+    ]
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_an_out_of_range_chsh_seed_raises_before_any_draw(seed, monkeypatch):
+    draws = []
+    monkeypatch.setattr(montecarlo, "_draw", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="seed must be a uint64"):
+        estimate_chsh(make_config(), ChshConfiguration.saturating(), 1000, seed)
+    assert draws == []

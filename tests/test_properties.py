@@ -20,6 +20,8 @@ from helpers import bits, flatten, make_config, random_geometry
 from skybell import (
     ChshConfiguration,
     ConfigError,
+    Geometry,
+    PathAmplitudeSet,
     PolarizerAxis,
     bell_state,
     chsh_square_spectral_bound,
@@ -27,6 +29,7 @@ from skybell import (
     cli,
     effective_amplitudes,
     effective_density_matrix,
+    path_amplitudes,
     projector_from_axis,
     source_density,
 )
@@ -59,6 +62,78 @@ def configs(draw):
         normalization=draw(st.sampled_from(("phase-only", "spherical"))),
         **dict(zip(("w12", "w21", "w11", "w22"), weights)),
     )
+
+
+def reference_legs(geometry, phi1, phi2, normalization):
+    """Leg lengths (r_1A, r_2A, r_1B, r_2B) and amplitudes by the textbook formulas."""
+    g = geometry
+    pairs = ((g.source1, g.detector_a), (g.source2, g.detector_a),
+             (g.source1, g.detector_b), (g.source2, g.detector_b))
+    lengths = [float(np.linalg.norm(s - d)) for s, d in pairs]
+    legs = [np.exp(1j * (g.wavenumber * r + phi))
+            for r, phi in zip(lengths, (phi1, phi2, phi1, phi2))]
+    if normalization == "spherical":
+        legs = [d / r for d, r in zip(legs, lengths)]
+    return lengths, legs
+
+
+def complex_bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@st.composite
+def geometries(draw):
+    # sources at z >= 1 and detectors at |z| <= 1/2, so no leg is coincident
+    def point(z):
+        return [draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4)), draw(z)]
+
+    sources = st.floats(1.0, 1e7)
+    detectors = st.floats(-0.5, 0.5)
+    return Geometry(source1=point(sources), source2=point(sources), detector_a=point(detectors),
+                    detector_b=point(detectors), wavenumber=draw(st.floats(1e-3, 1e4)))
+
+
+# the leg amplitudes, and so every model output and golden pin, rest on these bits
+@PROPERTY_SETTINGS
+@given(geometry=geometries(), phases=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+       normalization=st.sampled_from(("phase-only", "spherical")),
+       scenario=st.sampled_from(("I", "II")))
+def test_leg_lengths_and_amplitudes_are_the_formulas_bitwise(geometry, phases, normalization,
+                                                            scenario):
+    lengths, legs = reference_legs(geometry, *phases, normalization)
+    assert bits(geometry.path_lengths()) == bits(lengths)
+    amps = path_amplitudes(geometry, *phases, normalization=normalization)
+    fields = (amps.d1a, amps.d2a, amps.d1b, amps.d2b)
+    assert all(type(d) is complex for d in fields)
+    assert list(map(complex_bits, fields)) == list(map(complex_bits, legs))
+    cfg = make_config(scenario=scenario, geometry=geometry, normalization=normalization)
+    _, legs = reference_legs(geometry, 0.0, 0.0, normalization)
+    if scenario == "II":
+        legs[1] = legs[2] = 0j
+    amps = effective_amplitudes(cfg)
+    fields = (amps.d1a, amps.d2a, amps.d1b, amps.d2b)
+    assert list(map(complex_bits, fields)) == list(map(complex_bits, legs))
+
+
+@PROPERTY_SETTINGS
+@given(leg=st.sampled_from(("d1a", "d2a", "d1b", "d2b")),
+       value=st.sampled_from((complex(math.nan, 0.0), complex(0.0, math.inf),
+                              complex(-math.inf, 1.0), complex(math.nan, math.nan))),
+       form=st.sampled_from(("complex", "numpy scalar", "0-d array", "1-d array")))
+def test_amplitude_sets_refuse_non_finite_legs_in_every_form(leg, value, form):
+    make = {"complex": complex, "numpy scalar": np.complex128, "0-d array": np.array,
+            "1-d array": lambda v: np.array([1.0, v])}[form]
+    shown = np.array([1.0, value]) if form == "1-d array" else value
+    amps = dict.fromkeys(("d1a", "d2a", "d1b", "d2b"), 1.0)
+    with pytest.raises(ValueError) as excinfo:
+        PathAmplitudeSet(**{**amps, leg: make(value)})
+    assert str(excinfo.value) == f"amplitude {leg} must be finite, got {shown!r}"
+    kept = getattr(PathAmplitudeSet(**{**amps, leg: make(1.5 - 2.0j)}), leg)
+    if form == "1-d array":
+        assert kept.dtype == np.complex128 and kept.tolist() == [1.0, 1.5 - 2.0j]
+    else:
+        assert type(kept) is complex and kept == 1.5 - 2.0j
 
 
 # model.k and the golden pins rest on these exact bits
