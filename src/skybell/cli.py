@@ -6,8 +6,8 @@ files carry a leading "# manifest: ..." comment pointing back at it.
 Floats are written with full repr precision so files round-trip exactly;
 each distinct value of the table is formatted once (``_csv_rows``).
 
-A run renders the whole text of its output, then ``_publish`` writes it
-and its manifest in one step (``_write_fresh``): both texts go to
+``_publish`` renders the whole text of a run's output, which names its
+manifest, and writes both in one step (``_write_fresh``): both texts go to
 ``<name>.tmp`` files before anything is moved, each created exclusively, so
 a stale one (a symlink included) is unlinked, never written through.  The
 previous files are then moved aside to ``<name>.old``, the temp files are
@@ -35,6 +35,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -64,10 +65,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-
-def _manifest_path(out_path: Path) -> Path:
-    return out_path.with_name(out_path.name + ".manifest.json")
 
 
 def _unlink_if_present(path: str) -> None:
@@ -137,9 +134,10 @@ def _write_fresh(files) -> None:
         os.unlink(path + ".old")
 
 
-def _publish(out: Path, text: str, command: str, argv, config_path, seed) -> None:
-    """Write ``text`` to ``out`` and its run manifest beside it, in one step."""
-    out = os.fspath(out)
+def _publish(out: str, render, command: str, argv, config_path, seed) -> None:
+    """Write ``render(manifest name)`` to ``Path(out)`` and the manifest beside it, in one step."""
+    out = os.fspath(Path(out))
+    manifest_path = out + ".manifest.json"
     manifest = {
         "command": command,
         "argv": list(argv),
@@ -150,7 +148,8 @@ def _publish(out: Path, text: str, command: str, argv, config_path, seed) -> Non
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _write_fresh([(out, text), (out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")])
+    text = render(os.path.basename(manifest_path))
+    _write_fresh([(out, text), (manifest_path, json.dumps(manifest, indent=2) + "\n")])
 
 
 def _csv_rows(*columns):
@@ -172,6 +171,11 @@ def _csv_text(header, columns, manifest_name: str | None) -> str:
     lines.append(",".join(header))
     lines += _csv_rows(*columns)
     return "\n".join(lines) + "\n"
+
+
+def _json_text(doc: dict, manifest_name: str) -> str:
+    """A JSON report's text: ``doc`` with the manifest file name as its last key."""
+    return json.dumps({**doc, "manifest": manifest_name}, indent=2) + "\n"
 
 
 def _scan_columns(scan: ScanResult):
@@ -342,9 +346,7 @@ def cmd_chsh(args, argv) -> int:
         }
 
     if args.out:
-        out = Path(args.out)
-        report["manifest"] = _manifest_path(out).name
-        _publish(out, json.dumps(report, indent=2) + "\n", "chsh", argv, args.config, seed)
+        _publish(args.out, functools.partial(_json_text, report), "chsh", argv, args.config, seed)
     return EXIT_OK
 
 
@@ -358,10 +360,9 @@ def cmd_scan(args, argv) -> int:
     else:
         scan = angular_scan(loaded.experiment, grid_a, grid_b)
 
-    out = Path(args.out)
-    text = _csv_text(SCAN_CSV_COLUMNS, _scan_columns(scan), _manifest_path(out).name)
-    _publish(out, text, "scan", argv, args.config, seed if args.n else None)
-    print(f"wrote {len(scan)} rows to {out}")
+    render = functools.partial(_csv_text, SCAN_CSV_COLUMNS, _scan_columns(scan))
+    _publish(args.out, render, "scan", argv, args.config, seed if args.n else None)
+    print(f"wrote {len(scan)} rows to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -375,9 +376,7 @@ def cmd_fit(args, argv) -> int:
     )
     doc = report.to_dict()
     if args.out:
-        out = Path(args.out)
-        doc["manifest"] = _manifest_path(out).name
-        _publish(out, json.dumps(doc, indent=2) + "\n", "fit", argv, None, None)
+        _publish(args.out, functools.partial(_json_text, doc), "fit", argv, None, None)
     print(
         f"S_hat = {report.s_hat:.6f}  B_hat = {report.b_hat:.6f}  "
         f"residual_rms = {report.residual_rms:.3e}  bell_S = {report.bell_s:.6f}"
@@ -407,11 +406,10 @@ def cmd_hbt(args, argv) -> int:
     normalization = loaded.experiment.propagator_normalization
     fringe = hbt_scan(geometry, detector_b, phases[:, 0], phases[:, 1], normalization)
 
-    out = Path(args.out)
     columns = (lengths, fringe.total, fringe.interference)
-    text = _csv_text(HBT_CSV_COLUMNS, columns, _manifest_path(out).name)
-    _publish(out, text, "hbt", argv, args.config, seed if args.random_phases else None)
-    print(f"wrote {len(lengths)} rows to {out}")
+    render = functools.partial(_csv_text, HBT_CSV_COLUMNS, columns)
+    _publish(args.out, render, "hbt", argv, args.config, seed if args.random_phases else None)
+    print(f"wrote {len(lengths)} rows to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -521,7 +519,8 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         out = getattr(args, "out", None)
-        if out is not None and not Path(out).name:  # '', '.', '/'
+        # the raw string: Path drops a trailing '/' or '/.'
+        if out is not None and os.path.basename(out) in ("", ".", ".."):
             raise OSError(f"--out {out!r} names no file")
         return args.func(args, argv)
     except ConfigError as exc:

@@ -9,9 +9,10 @@ re-keys it per setting to the state a new one keyed (seed, i << 32)
 starts in: the streams are unchanged, and nothing outlives the call.
 A trial first picks the entangled or background channel with probability
 f w_sig / (f w_sig + (1 - f) w_bg), then draws one of the four (+-, +-)
-outcome pairs from that channel's distribution.  All n trials of a
-setting are drawn at once, one binomial for the channel split and one
-multinomial per channel, so the cost does not grow with n.  The
+outcome pairs from that channel's distribution, as read by the config's
+model (:meth:`skybell.scenarios.CorrelationModel.distributions`).  All n
+trials of a setting are drawn at once, one binomial for the channel split
+and one multinomial per channel, so the cost does not grow with n.  The
 estimator is the empirical outcome product with the binomial standard
 error sqrt((1 - e^2)/n).
 """
@@ -24,14 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import OUTCOME_PAIRS, _outcome_rates, _outcome_vectors
+from .background import OUTCOME_PAIRS
 from .polarization import ChshConfiguration, PolarizerAxis
-from .scenarios import (
-    CorrelationModel,
-    ExperimentConfig,
-    ScanResult,
-    correlation_model,
-)
+from .scenarios import ChannelDistributions, ExperimentConfig, ScanResult
 
 __all__ = [
     "EstimatedCorrelator", "SampleBatch", "channel_distributions", "estimate_chsh",
@@ -81,59 +77,15 @@ def _stream(seed: int, word: int, philox: np.random.Philox | None = None) -> np.
     return np.random.Generator(philox)
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelDistributions:
-    """Per-channel outcome distributions and the channel-choice probability.
-
-    ``signal`` and ``background`` hold p(+,+), p(+,-), p(-,+), p(-,-) in
-    their last axis: one row per grid point, or a 4-vector for one setting.
-    """
-
-    p_signal_channel: float
-    signal: np.ndarray      # entangled pairs
-    background: np.ndarray  # the unentangled channel
-
-    def mixture(self) -> np.ndarray:
-        p = self.p_signal_channel
-        return p * self.signal + (1.0 - p) * self.background
-
-
 def channel_distributions(
     cfg: ExperimentConfig, a: PolarizerAxis, b: PolarizerAxis
 ) -> ChannelDistributions:
     """Outcome distributions of the entangled and background channels at (a, b).
 
-    The one-point case of the grid distributions.  Probabilities below
-    1e-15 are truncated to exactly zero (and the vector renormalized) so
-    that analytically forbidden outcomes never occur in samples.
+    The one-point case of :meth:`CorrelationModel.distributions`, with its
+    truncation of probabilities below 1e-15.
     """
-    return _row(_distributions(correlation_model(cfg), [a.angle], [b.angle]), 0)
-
-
-def _distributions(model: CorrelationModel, grid_a, grid_b) -> ChannelDistributions:
-    """Channel distributions over the outer product of two angle grids.
-
-    Row i of ``signal`` and ``background`` is ``outcome_rates(k, ...) / k[0, 0]``
-    of the channel's tensor at grid point i, in row-major order as the rows
-    of :meth:`CorrelationModel.scan`.
-    """
-    bars_a, bars_b = _outcome_vectors(grid_a), _outcome_vectors(grid_b)
-    p_signal, p_background = (
-        _outcome_rates(k, bars_a, bars_b).reshape(-1, 4) / k[0, 0]
-        for k in (model.k_signal, model.k)
-    )
-
-    def truncate(p: np.ndarray) -> np.ndarray:
-        p = np.clip(p, 0.0, 1.0)
-        p[p < 1e-15] = 0.0
-        s = p.sum(axis=1, keepdims=True)
-        return p / np.where(s > 0.0, s, 1.0)
-
-    return ChannelDistributions(
-        p_signal_channel=model.w_signal / (model.w_signal + model.w_background),
-        signal=truncate(p_signal),
-        background=truncate(p_background),
-    )
+    return _row(cfg.model.distributions([a.angle], [b.angle]), 0)
 
 
 def _row(dists: ChannelDistributions, k: int) -> ChannelDistributions:
@@ -246,9 +198,7 @@ def estimate_chsh(
     stream.
     """
     terms = chsh.terms()
-    grid = _distributions(
-        correlation_model(cfg), [a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms]
-    )
+    grid = cfg.model.distributions([a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms])
     philox = np.random.Philox(0)  # re-keyed for each term
     estimates = [
         estimate_correlator(
@@ -271,9 +221,6 @@ def sample_scan(
     stream of the seed); the decomposition columns keep their analytic
     values for diagnostics.
     """
-    model = correlation_model(cfg)
-    scan = model.scan(grid_a, grid_b)
-    grid_a, grid_b = np.asarray(grid_a, dtype=float), np.asarray(grid_b, dtype=float)
-    dists = _distributions(model, grid_a, grid_b)
-    counts = _draw(dists, n_per_point, _stream(seed, _SCAN_WORD))
+    scan = cfg.model.scan(grid_a, grid_b)
+    counts = _draw(cfg.model.distributions(grid_a, grid_b), n_per_point, _stream(seed, _SCAN_WORD))
     return dataclasses.replace(scan, e=(counts @ _PRODUCTS) / int(n_per_point))

@@ -16,10 +16,12 @@ A coincidence correlator is the rate-weighted mixture
 
 of the entangled-pair correlator and the unentangled-background
 correlator, where f is the entangled fraction of emitted pairs.  Each
-channel is one 3x3 tensor in the basis (I, sigma_z, sigma_x), read by
-the same code: diag(1, +-1, +-1) for the entangled pairs and K for the
-background.  Neither weight depends on the polarizer angles, so the
-mixture preserves each component's angular shape.
+channel is one 3x3 tensor in the basis (I, sigma_z, sigma_x),
+diag(1, +-1, +-1) for the entangled pairs and K for the background, and
+:class:`CorrelationModel` (``ExperimentConfig.model``) alone reads them:
+its ``correlators`` give every analytic correlator, scan and CHSH sum,
+its ``distributions`` every sampled count.  Neither weight depends on the
+polarizer angles, so the mixture preserves each component's angular shape.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import BackgroundSpec, _basis_vectors, correlation_tensor, tensor_correlator
+from .background import BackgroundSpec, correlation_tensor
 from .errors import DegenerateDesignError
 from .polarization import TSIRELSON_BOUND, ChshConfiguration, PolarizerAxis
 from .propagation import (
@@ -91,7 +93,10 @@ class ExperimentConfig:
 
     @functools.cached_property
     def model(self) -> "CorrelationModel":
-        """The config's correlation model, built on first use and kept."""
+        """The config's correlation model, built on first use and kept.
+
+        OverflowError if a rate is out of floating-point range, ValueError if both vanish.
+        """
         return _build_model(self)
 
 
@@ -129,14 +134,13 @@ def coincidence_correlator(
     cfg: ExperimentConfig, a: PolarizerAxis, b: PolarizerAxis
 ) -> CorrelatorParts:
     """Mixture correlator at polarizer settings (a, b)."""
-    model = correlation_model(cfg)
-    e, e_sig, e_bg = model.correlators(a.angle, b.angle)
+    e, e_sig, e_bg = cfg.model.correlators(a.angle, b.angle)
     return CorrelatorParts(
         e=float(e[0, 0]),
         e_signal=float(e_sig[0, 0]),
         e_background=float(e_bg[0, 0]),
-        weight_signal=model.w_signal,
-        weight_background=model.w_background,
+        weight_signal=cfg.model.w_signal,
+        weight_background=cfg.model.w_background,
     )
 
 
@@ -195,6 +199,46 @@ class ScanResult:
         return int(self.theta_a.shape[0])
 
 
+def _basis_vectors(theta) -> np.ndarray:
+    """Rows (cos 2t, sin 2t), one per polarizer angle t of ``theta``."""
+    t = 2.0 * np.atleast_1d(np.asarray(theta, dtype=float))
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+def _outcome_vectors(theta) -> np.ndarray:
+    """Rows (1, o cos 2t, o sin 2t) for o = +1, -1 at each angle of ``theta``, shape (2n, 3)."""
+    u = _basis_vectors(theta)
+    bar = np.empty((len(u), 2, 3))
+    bar[:, :, 0] = 1.0
+    bar[:, 0, 1:] = u
+    bar[:, 1, 1:] = -u
+    return bar.reshape(-1, 3)
+
+
+def _outcome_rates(k: np.ndarray, bars_a: np.ndarray, bars_b: np.ndarray) -> np.ndarray:
+    """The OUTCOME_PAIRS rates u_bar^T K v_bar / 4 at each point of two grids, row-major."""
+    rates = bars_a @ k @ bars_b.T
+    na, nb = rates.shape[0] // 2, rates.shape[1] // 2
+    return rates.reshape(na, 2, nb, 2).transpose(0, 2, 1, 3).reshape(na * nb, 4) / 4.0
+
+
+@dataclass(frozen=True, eq=False)
+class ChannelDistributions:
+    """Per-channel outcome distributions and the channel-choice probability.
+
+    ``signal`` and ``background`` hold p(+,+), p(+,-), p(-,+), p(-,-) in
+    their last axis: one row per grid point, or a 4-vector for one setting.
+    """
+
+    p_signal_channel: float
+    signal: np.ndarray      # entangled pairs
+    background: np.ndarray  # the unentangled channel
+
+    def mixture(self) -> np.ndarray:
+        p = self.p_signal_channel
+        return p * self.signal + (1.0 - p) * self.background
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:
     """Both channels of one config as 3x3 tensors in the (I, sigma_z, sigma_x) basis.
@@ -206,7 +250,7 @@ class CorrelationModel:
     its weight is zero: E_background then reads 0 with no 0/0, and its
     uniform outcome distribution draws nothing, as its channel gets no
     trials.  Both are read-only; each config builds one model on first
-    use (:func:`correlation_model`), independent of the settings.
+    use (``ExperimentConfig.model``), independent of the settings.
     """
 
     w_signal: float
@@ -217,11 +261,38 @@ class CorrelationModel:
     def correlators(self, theta_a, theta_b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(E, E_signal, E_background) over the outer product of two angle grids."""
         u_a, u_b = _basis_vectors(theta_a), _basis_vectors(theta_b)
-        e_signal, e_background = (tensor_correlator(k, u_a, u_b) for k in (self.k_signal, self.k))
+        e_signal, e_background = (
+            u_a @ k[1:, 1:] @ u_b.T / k[0, 0] for k in (self.k_signal, self.k)
+        )
         e = (self.w_signal * e_signal + self.w_background * e_background) / (
             self.w_signal + self.w_background
         )
         return e, e_signal, e_background
+
+    def distributions(self, grid_a, grid_b) -> ChannelDistributions:
+        """Channel distributions over the outer product of two angle grids.
+
+        Row i of ``signal`` and ``background`` is the channel's outcome rates
+        over its rate k[0, 0] at grid point i of :meth:`scan`.  Probabilities
+        below 1e-15 are truncated to exactly zero (and the row renormalized)
+        so that analytically forbidden outcomes never occur in samples.
+        """
+        bars_a, bars_b = _outcome_vectors(grid_a), _outcome_vectors(grid_b)
+        p_signal, p_background = (
+            _outcome_rates(k, bars_a, bars_b) / k[0, 0] for k in (self.k_signal, self.k)
+        )
+
+        def truncate(p: np.ndarray) -> np.ndarray:
+            p = np.clip(p, 0.0, 1.0)
+            p[p < 1e-15] = 0.0
+            s = p.sum(axis=1, keepdims=True)
+            return p / np.where(s > 0.0, s, 1.0)
+
+        return ChannelDistributions(
+            p_signal_channel=self.w_signal / (self.w_signal + self.w_background),
+            signal=truncate(p_signal),
+            background=truncate(p_background),
+        )
 
     def scan(self, grid_a, grid_b) -> ScanResult:
         """The analytic scan over two angle grids, in row-major order."""
@@ -238,16 +309,6 @@ class CorrelationModel:
             w_signal=np.full(e.size, self.w_signal),
             w_background=np.full(e.size, self.w_background),
         )
-
-
-def correlation_model(cfg: ExperimentConfig) -> CorrelationModel:
-    """The config's correlation model, built once per config and cached on it.
-
-    Every observable of a config (scan, CHSH sum, sampled counts) reads
-    this one model.  Raises OverflowError when a rate is out of
-    floating-point range and ValueError when both rates vanish.
-    """
-    return cfg.model
 
 
 def _build_model(cfg: ExperimentConfig) -> CorrelationModel:
@@ -283,7 +344,7 @@ def angular_scan(cfg: ExperimentConfig, grid_a, grid_b) -> ScanResult:
     radians; the result has len(grid_a) * len(grid_b) rows in row-major
     order and is deterministic (no sampling).
     """
-    return correlation_model(cfg).scan(grid_a, grid_b)
+    return cfg.model.scan(grid_a, grid_b)
 
 
 def null_background_axes(spec: BackgroundSpec) -> tuple[float, float]:
@@ -404,7 +465,5 @@ def chsh_with_background(cfg: ExperimentConfig, chsh: ChshConfiguration) -> floa
     """
     terms = chsh.terms()
     # one evaluation over the terms' angles; term i is the diagonal entry (i, i)
-    e, _, _ = correlation_model(cfg).correlators(
-        [a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms]
-    )
+    e, _, _ = cfg.model.correlators([a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms])
     return float(sum(sign * e[i, i] for i, (_, _, sign) in enumerate(terms)))

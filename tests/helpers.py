@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from skybell import BackgroundSpec, ExperimentConfig, Geometry, PolarizerAxis
+from skybell import BackgroundSpec, ExperimentConfig, Geometry, PolarizerAxis, scenarios
 from skybell.config import parse_config
 
 
@@ -96,3 +96,15 @@ def flatten(loaded):
         bg.w12, bg.w21, bg.w11, bg.w22,
         chsh.a.angle, chsh.a_prime.angle, chsh.b.angle, chsh.b_prime.angle, loaded.seed,
     ])
+
+
+def outcome_rates(k, theta_a, theta_b):
+    """Rates of the four OUTCOME_PAIRS over two angle grids, read off any 3x3 tensor K.
+
+    The arithmetic of the model's private rate reader, which the sampler's
+    distributions run.  Point (i, j) holds its four rates in the last axis;
+    a scalar angle has no axis, so one setting pair gives a 4-vector.
+    """
+    bars_a, bars_b = scenarios._outcome_vectors(theta_a), scenarios._outcome_vectors(theta_b)
+    rates = scenarios._outcome_rates(k, bars_a, bars_b)
+    return rates.reshape(np.shape(theta_a) + np.shape(theta_b) + (4,))

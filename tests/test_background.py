@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_geometry
+from helpers import outcome_rates, random_geometry
 
 from skybell import (
     BackgroundSpec,
@@ -20,7 +20,7 @@ from skybell import (
     scenario2_mask,
     source_density,
 )
-from skybell.background import OUTCOME_PAIRS, correlation_tensor, outcome_rates
+from skybell.background import OUTCOME_PAIRS, correlation_tensor
 
 UNIT_AMPS = PathAmplitudeSet(d1a=1.0, d2a=1.0, d1b=1.0, d2b=1.0)
 MASKED_UNIT = scenario2_mask(UNIT_AMPS)

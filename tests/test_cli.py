@@ -1018,7 +1018,8 @@ def test_a_directory_at_the_manifest_path_exits_four(config_path, tmp_path):
     assert (tmp_path / "scan.csv.manifest.json").is_dir()
 
 
-@pytest.mark.parametrize("out", ["", ".", "/"], ids=["empty", "dot", "root"])
+@pytest.mark.parametrize("out", ["", ".", "/", "results/", "sub/.", ".."],
+                         ids=["empty", "dot", "root", "trailing-slash", "trailing-dot", "dot-dot"])
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
 def test_an_out_without_a_file_name_exits_four_before_any_work(
     config_path, scan_csv, tmp_path, monkeypatch, capsys, argv, out
@@ -1037,6 +1038,19 @@ def test_an_out_without_a_file_name_exits_four_before_any_work(
     assert captured.out == ""
     assert captured.err == f"i/o error: --out {out!r} names no file\n"
     assert (sorted(os.listdir(tmp_path)), [os.path.lexists(p) for p in written]) == before
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_an_out_is_written_and_listed_at_its_normalized_path(
+    config_path, scan_csv, tmp_path, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("sub")
+    assert run(fill(argv, config_path, scan_csv) + ["--out", "./sub//./out"]) == EXIT_OK
+    assert sorted(os.listdir("sub")) == ["out", "out.manifest.json"]
+    manifest = json.loads(Path("sub/out.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"] == ["sub/out"]
+    assert "out.manifest.json" in Path("sub/out").read_text(encoding="utf-8")
 
 
 def test_config_that_is_not_utf8_exits_two(config_path, capsys):

@@ -19,8 +19,7 @@ from skybell import (
     sample_scan,
 )
 from skybell import montecarlo
-from skybell.montecarlo import MAX_SAMPLE_SIZE, _SCAN_WORD, _distributions, _stream
-from skybell.scenarios import correlation_model
+from skybell.montecarlo import MAX_SAMPLE_SIZE, _SCAN_WORD, _stream
 
 A = PolarizerAxis(0.2)
 B = PolarizerAxis(0.7)
@@ -153,8 +152,7 @@ def test_estimate_chsh_pure_signal():
     make_config(scenario="II", fraction=0.4, w12=0.0, w21=0.0, w11=1.0),
 ], ids=["f=1", "zero-K"])
 def test_a_background_of_zero_weight_reads_and_draws_as_pure_signal(cfg):
-    model = correlation_model(cfg)
-    assert model.w_background == 0.0
+    assert cfg.model.w_background == 0.0
     pure = make_config(scenario=cfg.scenario, bell_kind=cfg.bell_kind, fraction=1.0)
     grid = np.linspace(0.0, math.pi, 6, endpoint=False)
     scan = angular_scan(cfg, grid, grid)
@@ -231,7 +229,7 @@ def test_channel_distributions_are_one_row_of_the_grid():
         cfg = make_config(scenario=scenario, fraction=0.4, alpha1=0.8, alpha2=1.7,
                           axis1=0.3, axis2=1.0, w11=0.2)
         grid_a, grid_b = rng.uniform(0.0, math.pi, size=(2, 9))
-        grid = _distributions(correlation_model(cfg), grid_a, grid_b)
+        grid = cfg.model.distributions(grid_a, grid_b)
         assert grid.signal.shape == grid.background.shape == (81, 4)
         for i, (ta, tb) in enumerate((ta, tb) for ta in grid_a for tb in grid_b):
             point = channel_distributions(cfg, PolarizerAxis(ta), PolarizerAxis(tb))

@@ -11,11 +11,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import bits, flatten, make_config, random_geometry
+from helpers import bits, flatten, make_config, outcome_rates, random_geometry
 
 from skybell import (
     ChshConfiguration,
@@ -23,6 +23,7 @@ from skybell import (
     Geometry,
     PathAmplitudeSet,
     PolarizerAxis,
+    background_correlator,
     bell_state,
     chsh_square_spectral_bound,
     chsh_with_background,
@@ -33,10 +34,10 @@ from skybell import (
     projector_from_axis,
     source_density,
 )
-from skybell.background import OUTCOME_PAIRS, correlation_tensor, outcome_rates
+from skybell.background import OUTCOME_PAIRS, correlation_tensor
 from skybell.cli import SCAN_CSV_COLUMNS, _csv_rows, read_scan_csv, write_scan_csv
 from skybell.config import SCHEMA_VERSION, dump_config, parse_config
-from skybell.scenarios import ScanResult, correlation_model
+from skybell.scenarios import ScanResult
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -174,7 +175,7 @@ def test_tensor_is_the_density_matrix_contraction(cfg):
     assert np.max(np.abs(k - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
     # the entangled channel's tensor is the same contraction of its Bell state
     expected = contraction(bell_state(cfg.bell_kind).density())
-    assert np.max(np.abs(correlation_model(cfg).k_signal - expected)) <= 1e-15
+    assert np.max(np.abs(cfg.model.k_signal - expected)) <= 1e-15
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
@@ -238,11 +239,21 @@ def test_outcome_rates_are_the_tensor_formula(cfg, ta, tb):
                 assert abs(rates[i, j, col] - expected) <= 1e-12 * w
 
 
+# background_correlator reads K on its own, so only this ties it to the model
+@PROPERTY_SETTINGS
+@given(cfg=configs(), ta=angles, tb=angles)
+def test_background_correlator_is_the_models_background_column(cfg, ta, tb):
+    amps = effective_amplitudes(cfg)
+    assume(cfg.entangled_fraction < 1.0 and correlation_tensor(cfg.background, amps)[0, 0] > 0.0)
+    e = background_correlator(cfg.background, amps, PolarizerAxis(ta), PolarizerAxis(tb))
+    assert abs(e - cfg.model.correlators(ta, tb)[2][0, 0]) <= 1e-15
+
+
 @PROPERTY_SETTINGS
 @given(cfg=configs(), ta=st.lists(angles, min_size=1, max_size=4),
        tb=st.lists(angles, min_size=1, max_size=4))
 def test_correlators_stay_in_bounds(cfg, ta, tb):
-    for e in correlation_model(cfg).correlators(ta, tb):
+    for e in cfg.model.correlators(ta, tb):
         assert e.shape == (len(ta), len(tb))
         assert np.max(np.abs(e)) <= 1.0 + 1e-12
 

@@ -26,7 +26,6 @@ from skybell import (
     scenario2_mask,
 )
 from skybell.background import correlation_tensor
-from skybell.scenarios import correlation_model
 
 GRID16 = np.linspace(0.0, math.pi, 16, endpoint=False)
 
@@ -181,15 +180,15 @@ def test_zero_weight_raises():
 
 def test_model_is_built_once_per_config_and_read_only():
     cfg = make_config()
-    model = correlation_model(cfg)
-    assert correlation_model(cfg) is model
+    model = cfg.model
+    assert cfg.model is model
     with pytest.raises(ValueError):
         model.k[0, 0] = 1.0
     with pytest.raises(ValueError):
         model.k_signal[1, 1] = -1.0
     # a replaced config is a new instance and builds its own model
-    other = correlation_model(dataclasses.replace(cfg, entangled_fraction=0.6))
-    fresh = correlation_model(make_config(fraction=0.6))
+    other = dataclasses.replace(cfg, entangled_fraction=0.6).model
+    fresh = make_config(fraction=0.6).model
     assert other is not model
     assert (other.w_signal, other.w_background) == (fresh.w_signal, fresh.w_background)
     assert np.array_equal(other.k, fresh.k)
@@ -415,7 +414,7 @@ def test_background_only_chsh_maximum(alpha, scenario, expected):
     # not a witness of entanglement; with the cross legs masked it stays <= 2.
     cfg = make_config(scenario=scenario, fraction=0.0, alpha1=alpha, alpha2=alpha,
                       axis1=0.0, axis2=math.pi / 2.0)
-    model = correlation_model(cfg)
+    model = cfg.model
     s_max, optimal = svd_optimal_chsh(model.k[1:, 1:] / model.k[0, 0])
     assert round(s_max, 3) == expected
     assert chsh_with_background(cfg, optimal) == pytest.approx(s_max, abs=1e-12)
