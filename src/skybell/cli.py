@@ -48,7 +48,7 @@ import numpy as np
 from . import __version__
 from .config import LoadedConfig, load_config
 from .errors import ConfigError, SkybellError
-from .montecarlo import MAX_SAMPLE_SIZE, _stream, estimate_chsh, sample_scan
+from .montecarlo import MAX_SAMPLE_SIZE, estimate_chsh, random_phases, sample_scan
 from .polarization import ChshConfiguration, PolarizerAxis
 from .propagation import hbt_scan
 from .scenarios import (
@@ -134,14 +134,14 @@ def _write_fresh(files) -> None:
         os.unlink(path + ".old")
 
 
-def _publish(out: str, render, command: str, argv, config_path, seed) -> None:
-    """Write ``render(manifest name)`` to ``Path(out)`` and the manifest beside it, in one step."""
-    out = os.fspath(Path(out))
+def _publish(args, argv, render, seed) -> None:
+    """Write ``render(manifest name)`` to ``args.out`` and the manifest beside it, in one step."""
+    out = os.fspath(Path(args.out))
     manifest_path = out + ".manifest.json"
     manifest = {
-        "command": command,
+        "command": argv[0],
         "argv": list(argv),
-        "config_path": str(config_path) if config_path else None,
+        "config_path": getattr(args, "config", None),
         "seed": seed,
         "outputs": [out],
         "tool": "skybell",
@@ -346,7 +346,7 @@ def cmd_chsh(args, argv) -> int:
         }
 
     if args.out:
-        _publish(args.out, functools.partial(_json_text, report), "chsh", argv, args.config, seed)
+        _publish(args, argv, functools.partial(_json_text, report), seed)
     return EXIT_OK
 
 
@@ -361,7 +361,7 @@ def cmd_scan(args, argv) -> int:
         scan = angular_scan(loaded.experiment, grid_a, grid_b)
 
     render = functools.partial(_csv_text, SCAN_CSV_COLUMNS, _scan_columns(scan))
-    _publish(args.out, render, "scan", argv, args.config, seed if args.n else None)
+    _publish(args, argv, render, seed if args.n else None)
     print(f"wrote {len(scan)} rows to {Path(args.out)}")
     return EXIT_OK
 
@@ -376,7 +376,7 @@ def cmd_fit(args, argv) -> int:
     )
     doc = report.to_dict()
     if args.out:
-        _publish(args.out, functools.partial(_json_text, doc), "fit", argv, None, None)
+        _publish(args, argv, functools.partial(_json_text, doc), None)
     print(
         f"S_hat = {report.s_hat:.6f}  B_hat = {report.b_hat:.6f}  "
         f"residual_rms = {report.residual_rms:.3e}  bell_S = {report.bell_s:.6f}"
@@ -400,15 +400,14 @@ def cmd_hbt(args, argv) -> int:
     lengths = _parse_grid(args.baseline, "--baseline")
     phases = np.zeros((len(lengths), 2))
     if args.random_phases:
-        # CHSH term 0's stream; one (n, 2) block equals a size=2 draw per row
-        phases = _stream(seed, 0).uniform(0.0, 2.0 * math.pi, size=phases.shape)
+        phases = random_phases(seed, len(lengths))
     detector_b = geometry.detector_a + lengths[:, None] * (baseline / length)
     normalization = loaded.experiment.propagator_normalization
     fringe = hbt_scan(geometry, detector_b, phases[:, 0], phases[:, 1], normalization)
 
     columns = (lengths, fringe.total, fringe.interference)
     render = functools.partial(_csv_text, HBT_CSV_COLUMNS, columns)
-    _publish(args.out, render, "hbt", argv, args.config, seed if args.random_phases else None)
+    _publish(args, argv, render, seed if args.random_phases else None)
     print(f"wrote {len(lengths)} rows to {Path(args.out)}")
     return EXIT_OK
 

@@ -126,6 +126,10 @@ def _weight(section: dict, key: str) -> float:
     return weight
 
 
+def _axis(section: dict, path: str, key: str) -> PolarizerAxis:
+    return PolarizerAxis(math.radians(_number(section, path, key)))
+
+
 def _point(section: dict, path: str, key: str) -> np.ndarray:
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required value")
@@ -153,10 +157,7 @@ def parse_config(doc: dict) -> LoadedConfig:
     geo = _section(doc, "geometry")
     try:
         geometry = Geometry(
-            source1=_point(geo, "geometry", "source1"),
-            source2=_point(geo, "geometry", "source2"),
-            detector_a=_point(geo, "geometry", "detector_a"),
-            detector_b=_point(geo, "geometry", "detector_b"),
+            **{key: _point(geo, "geometry", key) for key in _KEYS["geometry"][:4]},
             wavenumber=_number(geo, "geometry", "wavenumber"),
         )
     except ValueError as exc:
@@ -166,8 +167,8 @@ def parse_config(doc: dict) -> LoadedConfig:
     weights = _section(bg, "background.weights", required=False)
     try:
         background = BackgroundSpec(
-            axis1=PolarizerAxis(math.radians(_number(bg, "background", "axis1_deg"))),
-            axis2=PolarizerAxis(math.radians(_number(bg, "background", "axis2_deg"))),
+            axis1=_axis(bg, "background", "axis1_deg"),
+            axis2=_axis(bg, "background", "axis2_deg"),
             alpha1=_alpha(bg, "alpha1"),
             alpha2=_alpha(bg, "alpha2"),
             # a weight left out keeps BackgroundSpec's default
@@ -198,16 +199,7 @@ def parse_config(doc: dict) -> LoadedConfig:
 
     chsh_section = _section(doc, "chsh", required=False)
     if chsh_section:
-        chsh = ChshConfiguration(
-            a=PolarizerAxis(math.radians(_number(chsh_section, "chsh", "a_deg"))),
-            a_prime=PolarizerAxis(
-                math.radians(_number(chsh_section, "chsh", "a_prime_deg"))
-            ),
-            b=PolarizerAxis(math.radians(_number(chsh_section, "chsh", "b_deg"))),
-            b_prime=PolarizerAxis(
-                math.radians(_number(chsh_section, "chsh", "b_prime_deg"))
-            ),
-        )
+        chsh = ChshConfiguration(*(_axis(chsh_section, "chsh", key) for key in _KEYS["chsh"]))
     else:
         chsh = ChshConfiguration.saturating()
 

@@ -14,7 +14,8 @@ model (:meth:`skybell.scenarios.CorrelationModel.distributions`).  All n
 trials of a setting are drawn at once, one binomial for the channel split
 and one multinomial per channel, so the cost does not grow with n.  The
 estimator is the empirical outcome product with the binomial standard
-error sqrt((1 - e^2)/n).
+error sqrt((1 - e^2)/n).  A sampled scan is the analytic scan's table with
+its correlator column sampled; hbt's random source phases are drawn here too.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import numpy as np
 
 from .background import OUTCOME_PAIRS
 from .polarization import ChshConfiguration, PolarizerAxis
-from .scenarios import ChannelDistributions, ExperimentConfig, ScanResult
+from .scenarios import ChannelDistributions, ExperimentConfig, ScanResult, angular_scan
 
 __all__ = [
     "EstimatedCorrelator", "SampleBatch", "channel_distributions", "estimate_chsh",
-    "estimate_correlator", "sample_coincidences", "sample_scan",
+    "estimate_correlator", "random_phases", "sample_coincidences", "sample_scan",
 ]
 
 #: Unused by the sampler; perfbench/spans.py reads it for its chunk count.
@@ -75,6 +76,11 @@ def _stream(seed: int, word: int, philox: np.random.Philox | None = None) -> np.
         "uinteger": 0,
     }
     return np.random.Generator(philox)
+
+
+def random_phases(seed: int, n: int) -> np.ndarray:
+    """(n, 2) source phases, uniform on [0, 2 pi), from setting index 0's stream, for hbt."""
+    return _stream(seed, 0).uniform(0.0, 2.0 * math.pi, size=(n, 2))
 
 
 def channel_distributions(
@@ -221,6 +227,6 @@ def sample_scan(
     stream of the seed); the decomposition columns keep their analytic
     values for diagnostics.
     """
-    scan = cfg.model.scan(grid_a, grid_b)
+    scan = angular_scan(cfg, grid_a, grid_b)
     counts = _draw(cfg.model.distributions(grid_a, grid_b), n_per_point, _stream(seed, _SCAN_WORD))
     return dataclasses.replace(scan, e=(counts @ _PRODUCTS) / int(n_per_point))

@@ -50,7 +50,7 @@ def _as_point(value, name: str) -> np.ndarray:
 class Geometry:
     """Positions of the two sources and two detectors, plus the wavenumber.
 
-    All four source-detector separations must be strictly positive.
+    All four source-detector separations must be strictly positive, with k r finite.
     """
 
     source1: np.ndarray
@@ -68,12 +68,13 @@ class Geometry:
         if not math.isfinite(k) or k <= 0.0:
             raise ValueError(f"wavenumber must be finite and > 0, got {self.wavenumber!r}")
         object.__setattr__(self, "wavenumber", k)
-        lengths = tuple(
-            float(np.linalg.norm(s - d))
-            for d in (self.detector_a, self.detector_b)
-            for s in (self.source1, self.source2)
-        )
-        _check_legs(lengths)
+        with np.errstate(over="ignore"):  # a leg out of float range is refused below
+            lengths = tuple(
+                float(np.linalg.norm(s - d))
+                for d in (self.detector_a, self.detector_b)
+                for s in (self.source1, self.source2)
+            )
+        _check_legs(k, lengths)
         object.__setattr__(self, "_lengths", lengths)
 
     def path_lengths(self) -> tuple[float, float, float, float]:
@@ -81,12 +82,14 @@ class Geometry:
         return self._lengths
 
 
-def _check_legs(lengths) -> None:
-    """Every leg length (r_1A, r_2A, r_1B, r_2B), floats or arrays, must be > 0."""
+def _check_legs(k: float, lengths) -> None:
+    """Every leg length (r_1A, r_2A, r_1B, r_2B), floats or arrays, must be > 0 with k r finite."""
     for r, name in zip(lengths, ("1->A", "2->A", "1->B", "2->B")):
         # np.any on a Python float would cost more than measuring the leg
         if (r <= 0.0).any() if isinstance(r, np.ndarray) else r <= 0.0:
             raise ValueError(f"source/detector pair {name} is coincident")
+        if not (np.isfinite(k * r).all() if isinstance(r, np.ndarray) else math.isfinite(k * r)):
+            raise ValueError(f"source/detector pair {name}: its length or phase k r overflows")
 
 
 def _legs(k: float, lengths, phi1, phi2, normalization: str) -> PathAmplitudeSet:
@@ -186,12 +189,14 @@ def hbt_scan(
 
     ``geometry``'s own detector B is ignored; ``phi1``/``phi2`` are numbers or
     length-n arrays.  Returns length-n arrays.  Raises ValueError naming the
-    leg if detector B lands on a source, OverflowError if a value overflows.
+    leg if detector B lands on a source or a leg's length or phase k r
+    overflows, OverflowError if an intensity overflows.
     """
-    lengths = geometry.path_lengths()[:2] + tuple(
-        np.linalg.norm(s - detector_b, axis=1) for s in (geometry.source1, geometry.source2)
-    )
-    _check_legs(lengths)
+    with np.errstate(over="ignore"):  # a leg out of float range is refused here
+        lengths = geometry.path_lengths()[:2] + tuple(
+            np.linalg.norm(s - detector_b, axis=1) for s in (geometry.source1, geometry.source2)
+        )
+        _check_legs(geometry.wavenumber, lengths)
     return hbt_intensity(_legs(geometry.wavenumber, lengths, phi1, phi2, normalization))
 
 

@@ -19,9 +19,10 @@ correlator, where f is the entangled fraction of emitted pairs.  Each
 channel is one 3x3 tensor in the basis (I, sigma_z, sigma_x),
 diag(1, +-1, +-1) for the entangled pairs and K for the background, and
 :class:`CorrelationModel` (``ExperimentConfig.model``) alone reads them:
-its ``correlators`` give every analytic correlator, scan and CHSH sum,
-its ``distributions`` every sampled count.  Neither weight depends on the
-polarizer angles, so the mixture preserves each component's angular shape.
+its ``correlators`` give every analytic correlator and CHSH sum, its
+``distributions`` every sampled count.  :func:`angular_scan` alone builds
+scan tables, sampled ones too.  Neither weight depends on the polarizer
+angles, so the mixture preserves each component's angular shape.
 """
 
 from __future__ import annotations
@@ -234,10 +235,6 @@ class ChannelDistributions:
     signal: np.ndarray      # entangled pairs
     background: np.ndarray  # the unentangled channel
 
-    def mixture(self) -> np.ndarray:
-        p = self.p_signal_channel
-        return p * self.signal + (1.0 - p) * self.background
-
 
 @dataclass(frozen=True, eq=False)
 class CorrelationModel:
@@ -273,9 +270,10 @@ class CorrelationModel:
         """Channel distributions over the outer product of two angle grids.
 
         Row i of ``signal`` and ``background`` is the channel's outcome rates
-        over its rate k[0, 0] at grid point i of :meth:`scan`.  Probabilities
-        below 1e-15 are truncated to exactly zero (and the row renormalized)
-        so that analytically forbidden outcomes never occur in samples.
+        over its rate k[0, 0] at grid point i of :func:`angular_scan`.
+        Probabilities below 1e-15 are truncated to exactly zero (and the row
+        renormalized) so that analytically forbidden outcomes never occur in
+        samples.
         """
         bars_a, bars_b = _outcome_vectors(grid_a), _outcome_vectors(grid_b)
         p_signal, p_background = (
@@ -292,22 +290,6 @@ class CorrelationModel:
             p_signal_channel=self.w_signal / (self.w_signal + self.w_background),
             signal=truncate(p_signal),
             background=truncate(p_background),
-        )
-
-    def scan(self, grid_a, grid_b) -> ScanResult:
-        """The analytic scan over two angle grids, in row-major order."""
-        grid_a = np.array([float(x) for x in grid_a])
-        grid_b = np.array([float(x) for x in grid_b])
-        e, e_signal, e_background = self.correlators(grid_a, grid_b)
-        theta_a, theta_b = np.meshgrid(grid_a, grid_b, indexing="ij")
-        return ScanResult(
-            theta_a=theta_a.ravel(),
-            theta_b=theta_b.ravel(),
-            e=e.ravel(),
-            e_signal=e_signal.ravel(),
-            e_background=e_background.ravel(),
-            w_signal=np.full(e.size, self.w_signal),
-            w_background=np.full(e.size, self.w_background),
         )
 
 
@@ -344,7 +326,19 @@ def angular_scan(cfg: ExperimentConfig, grid_a, grid_b) -> ScanResult:
     radians; the result has len(grid_a) * len(grid_b) rows in row-major
     order and is deterministic (no sampling).
     """
-    return cfg.model.scan(grid_a, grid_b)
+    grid_a = np.array([float(x) for x in grid_a])
+    grid_b = np.array([float(x) for x in grid_b])
+    e, e_signal, e_background = cfg.model.correlators(grid_a, grid_b)
+    theta_a, theta_b = np.meshgrid(grid_a, grid_b, indexing="ij")
+    return ScanResult(
+        theta_a=theta_a.ravel(),
+        theta_b=theta_b.ravel(),
+        e=e.ravel(),
+        e_signal=e_signal.ravel(),
+        e_background=e_background.ravel(),
+        w_signal=np.full(e.size, cfg.model.w_signal),
+        w_background=np.full(e.size, cfg.model.w_background),
+    )
 
 
 def null_background_axes(spec: BackgroundSpec) -> tuple[float, float]:

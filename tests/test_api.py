@@ -1,7 +1,9 @@
 """The public API: each library module's ``__all__`` and the package's union of them."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ import skybell
 
 LIBRARY = ("background", "errors", "montecarlo", "polarization", "propagation", "scenarios")
 MODULES = [importlib.import_module(f"skybell.{name}") for name in LIBRARY]
+SOURCES = sorted(Path(skybell.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", MODULES, ids=LIBRARY)
@@ -38,3 +41,16 @@ def test_star_import_binds_exactly_the_listed_names():
     exec("from skybell import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(skybell.__all__)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_no_module_imports_a_private_name_of_another(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

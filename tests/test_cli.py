@@ -668,6 +668,29 @@ def test_overflowing_intensity_exits_three(tmp_path, capsys, argv):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.yaml"]
 
 
+@pytest.mark.parametrize("updates", [
+    {"geometry.source1": [0.0, 0.0, 1.0e200]},
+    {"geometry.source1": [0.0, 0.0, 1.0e10], "geometry.wavenumber": 1.0e300},
+], ids=["length", "phase"])
+def test_an_overflowing_leg_in_the_config_exits_two_naming_it(tmp_path, capsys, updates):
+    # numpy's overflow warnings are errors under pytest, so none may be raised either
+    path = write_variant(tmp_path, "far.yaml", **updates)
+    assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: geometry: source/detector pair 1->A: its length or phase k r overflows\n"
+    )
+
+
+def test_an_overflowing_hbt_baseline_exits_three_naming_the_leg(config_path, tmp_path, capsys):
+    out = tmp_path / "hbt.csv"
+    argv = ["hbt", "--config", str(config_path), "--baseline", "0:1e200:5", "--out", str(out)]
+    assert run(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical error: source/detector pair 1->B: its length or phase k r overflows\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [config_path.name]
+
+
 # ---------------------------------------------------------------- misc
 
 

@@ -20,6 +20,33 @@ def base_doc():
     return yaml.safe_load(dump_config(readme_config()))
 
 
+#: A valid value other than the README example's for each config value but schema_version.
+OTHER_VALUES = {
+    "scenario": "I",
+    "bell_kind": 2,
+    "entangled_fraction": 0.5,
+    "geometry.source1": [-4.0, 0.0, 1000.0],
+    "geometry.source2": [4.0, 0.0, 1000.0],
+    "geometry.detector_a": [-2.0, 0.0, 0.0],
+    "geometry.detector_b": [2.0, 0.0, 0.0],
+    "geometry.wavenumber": 3.0,
+    "propagation.normalization": "spherical",
+    "background.axis1_deg": 10.0,
+    "background.axis2_deg": 20.0,
+    "background.alpha1": 2.0,
+    "background.alpha2": 3.0,
+    "background.weights.w12": 0.25,
+    "background.weights.w21": 0.75,
+    "background.weights.w11": 0.1,
+    "background.weights.w22": 0.2,
+    "chsh.a_deg": 5.0,
+    "chsh.a_prime_deg": 50.0,
+    "chsh.b_deg": 25.0,
+    "chsh.b_prime_deg": 100.0,
+    "rng.seed": 11,
+}
+
+
 def test_default_config_values():
     loaded = readme_config()
     exp = loaded.experiment
@@ -191,6 +218,33 @@ def test_invalid_values_are_rejected_with_field_names():
 
     with pytest.raises(ConfigError):
         parse_config(["not", "a", "mapping"])
+
+
+def test_dump_config_writes_exactly_the_listed_keys():
+    def sections(node, path=""):
+        yield path, tuple(node)
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from sections(value, f"{path}.{key}" if path else key)
+
+    assert dict(sections(base_doc())) == config._KEYS
+    values = [f"{path}.{key}" if path else key
+              for path, keys in config._KEYS.items() for key in keys]
+    assert sorted(v for v in values if v not in config._KEYS) == sorted(
+        ["schema_version", *OTHER_VALUES]
+    )
+
+
+@pytest.mark.parametrize("field", OTHER_VALUES)
+def test_every_listed_value_is_read(field):
+    doc = yaml.safe_load(readme_example())
+    *parents, key = field.split(".")
+    node = doc
+    for part in parents:
+        node = node[part]
+    assert node[key] != OTHER_VALUES[field]
+    node[key] = OTHER_VALUES[field]
+    assert flatten(parse_config(doc)) != flatten(readme_config())
 
 
 def test_optional_sections_may_be_absent():

@@ -15,6 +15,7 @@ from skybell import (
     coincidence_correlator,
     estimate_chsh,
     estimate_correlator,
+    random_phases,
     sample_coincidences,
     sample_scan,
 )
@@ -52,8 +53,9 @@ def test_channel_distributions_are_normalized():
     dists = channel_distributions(cfg, A, B)
     assert abs(dists.signal.sum() - 1.0) < 1e-12
     assert abs(dists.background.sum() - 1.0) < 1e-12
-    assert abs(dists.mixture().sum() - 1.0) < 1e-12
-    assert 0.0 <= dists.p_signal_channel <= 1.0
+    p = dists.p_signal_channel
+    assert abs((p * dists.signal + (1.0 - p) * dists.background).sum() - 1.0) < 1e-12
+    assert 0.0 <= p <= 1.0
     # f = 0.3 with equal unit channel rates
     assert dists.p_signal_channel == pytest.approx(0.3, abs=1e-12)
 
@@ -64,7 +66,8 @@ def test_forbidden_outcomes_are_exactly_zero():
     axis = PolarizerAxis(0.45)
     dists = channel_distributions(cfg, axis, axis)
     assert dists.signal[1] == 0.0 and dists.signal[2] == 0.0
-    assert dists.mixture()[1] == 0.0
+    p = dists.p_signal_channel
+    assert (p * dists.signal + (1.0 - p) * dists.background)[1] == 0.0
 
     batch = sample_coincidences(cfg, axis, axis, 1_000_000, seed=5)
     assert batch.n_pm == 0 and batch.n_mp == 0
@@ -78,7 +81,9 @@ def test_mixture_matches_the_analytic_correlator():
                           axis1=0.3, axis2=1.0)
         for ta, tb in rng.uniform(0.0, math.pi, size=(20, 2)):
             a, b = PolarizerAxis(ta), PolarizerAxis(tb)
-            p = channel_distributions(cfg, a, b).mixture()
+            dists = channel_distributions(cfg, a, b)
+            q = dists.p_signal_channel
+            p = q * dists.signal + (1.0 - q) * dists.background
             e = p[0] - p[1] - p[2] + p[3]
             assert abs(e - coincidence_correlator(cfg, a, b).e) < 1e-12
 
@@ -257,6 +262,14 @@ def test_stream_key_validation():
     batch = sample_coincidences(cfg, A, B, 1000, seed=6, setting_index=3)
     counts = fresh_philox_counts(cfg, A, B, 1000, seed=6, setting_index=3)
     assert (batch.n_pp, batch.n_pm, batch.n_mp, batch.n_mm) == counts
+
+
+def test_random_phases_read_setting_zeros_stream_row_by_row():
+    # hbt's phases: one (n, 2) block is a size-2 draw per row from a new Philox keyed (seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
+    rows = [rng.uniform(0.0, 2.0 * math.pi, size=2) for _ in range(50)]
+    phases = random_phases(9, 50)
+    assert phases.shape == (50, 2) and np.array_equal(phases, rows)
 
 
 def test_chsh_terms_sample_as_single_settings():
