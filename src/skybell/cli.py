@@ -21,9 +21,9 @@ output and manifest as they were, and a killed one may leave them at
 Nothing calls fsync: the files are not promised to survive a power loss,
 and a reader racing a re-run may briefly find no file.
 
-Each call builds its argument parser anew and, when it names a
-subcommand, only that subcommand's parser (``COMMANDS``); the full tree is
-built only for top-level help, the version, or a usage error it reports.
+One parser, ``build_parser``'s full tree, parses every argv.  The first
+``run`` of a process builds it and later ones reuse it; ``run`` then calls
+the module's current ``cmd_<name>`` for the subcommand ``COMMANDS`` names.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical or degeneracy
 error, 4 I/O error.
@@ -391,7 +391,7 @@ def cmd_hbt(args, argv) -> int:
     geometry = loaded.experiment.geometry
 
     baseline = geometry.detector_b - geometry.detector_a
-    length = float(np.linalg.norm(baseline))
+    length = math.hypot(*baseline)  # np.linalg.norm overflows past ~1.3e154
     if length <= 0.0:
         raise ConfigError(
             "geometry.detector_a, geometry.detector_b: must differ, "
@@ -418,7 +418,6 @@ def _chsh_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=_sample_size, help="Monte Carlo coincidences per setting")
     parser.add_argument("--seed", type=_seed, help="override the config seed")
     parser.add_argument("--out", help="write a JSON report here")
-    parser.set_defaults(func=cmd_chsh)
 
 
 def _scan_arguments(parser: argparse.ArgumentParser) -> None:
@@ -428,7 +427,6 @@ def _scan_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=_sample_size, help="sample this many coincidences per point")
     parser.add_argument("--seed", type=_seed, help="override the config seed")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.set_defaults(func=cmd_scan)
 
 
 def _fit_arguments(parser: argparse.ArgumentParser) -> None:
@@ -446,7 +444,6 @@ def _fit_arguments(parser: argparse.ArgumentParser) -> None:
         help="background shape: separable product of the betas, or the scan's own column",
     )
     parser.add_argument("--out", help="write the fit report JSON here")
-    parser.set_defaults(func=cmd_fit)
 
 
 def _hbt_arguments(parser: argparse.ArgumentParser) -> None:
@@ -461,11 +458,10 @@ def _hbt_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=_seed, help="override the config seed")
     parser.add_argument("--out", required=True, help="output CSV path")
-    parser.set_defaults(func=cmd_hbt)
 
 
-#: Subcommand name -> (help text, function that adds its arguments and binds
-#: its handler as ``func``), in the order the top-level help lists them.
+#: Subcommand name -> (help text, function that adds its arguments), in the
+#: order the top-level help lists them; ``cmd_<name>`` runs the subcommand.
 COMMANDS = {
     "chsh": ("four-setting CHSH value, analytic and sampled", _chsh_arguments),
     "scan": ("correlator over a polarizer-angle grid", _scan_arguments),
@@ -491,28 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as the full parser would, building only the invoked subcommand.
-
-    The subcommand's parser alone has the prog, arguments and errors it has
-    in the full tree.  Leftover arguments, and an argv that does not start
-    with a subcommand, go to the full parser, which prints the top-level
-    help, version, usage and errors.
-    """
-    if argv and argv[0] in COMMANDS:
-        _, add_arguments = COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"skybell {argv[0]}")
-        add_arguments(parser)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return build_parser().parse_args(argv)
+_parser = functools.cache(build_parser)
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = _parse(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else EXIT_OK
@@ -521,7 +502,8 @@ def run(argv=None) -> int:
         # the raw string: Path drops a trailing '/' or '/.'
         if out is not None and os.path.basename(out) in ("", ".", ".."):
             raise OSError(f"--out {out!r} names no file")
-        return args.func(args, argv)
+        # looked up at call time, so a cmd_<name> rebound on the module is the one run
+        return globals()[f"cmd_{args.command}"](args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -205,7 +205,11 @@ def entangled_pair_weight(amps: PathAmplitudeSet) -> float:
 
     The pair's polarization state factors out of propagation, so its
     correlators at the detectors are the source-frame correlators times
-    this single nonnegative number.
+    this single nonnegative number.  This symmetric route sum holds for a
+    state the photon swap leaves unchanged (Bell kind 1); the singlet
+    (kind 2) changes sign under the swap, so its weight is
+    |d1a d2b - d2a d1b|^2, and with both routes live (scenario I) the
+    model's kind-2 weight from this function is wrong.
     """
     return float(abs(amps.d1a * amps.d2b + amps.d2a * amps.d1b) ** 2)
 
@@ -225,7 +229,10 @@ def propagate_pair(amp4: np.ndarray, amps: PathAmplitudeSet) -> np.ndarray:
     Sums the two routes explicitly: source 1 to A with source 2 to B,
     and source 2 to A with source 1 to B.  Both routes carry the same
     polarization amplitudes, so the result equals
-    amp4 * (d1a d2b + d2a d1b).
+    amp4 * (d1a d2b + d2a d1b).  That holds for a symmetric pair state
+    (Bell kind 1); the second route swaps the photons, which flips the
+    singlet's (kind 2) sign, so its pair amplitudes are
+    amp4 * (d1a d2b - d2a d1b).
     """
     amp4 = np.asarray(amp4, dtype=complex)
     if amp4.shape != (4,):

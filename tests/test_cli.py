@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import errno
 import json
@@ -691,6 +692,27 @@ def test_an_overflowing_hbt_baseline_exits_three_naming_the_leg(config_path, tmp
     assert sorted(p.name for p in tmp_path.iterdir()) == [config_path.name]
 
 
+def test_an_hbt_baseline_past_the_norms_overflow_scans_like_a_scaled_down_one(tmp_path):
+    # a 2e154 baseline's squared norm overflows; the fringe depends only on k r,
+    # so the same config scaled down by 1e4 (k up by 1e4) gives the same rows
+    def fringe(scale):
+        path = write_variant(tmp_path, f"{scale}.yaml", **{
+            "geometry.detector_a": [-1e154 * scale, 0.0, 0.0],
+            "geometry.detector_b": [1e154 * scale, 0.0, 0.0],
+            "geometry.source1": [-1e153 * scale, 0.0, 1e153 * scale],
+            "geometry.source2": [1e153 * scale, 0.0, 1e153 * scale],
+            "geometry.wavenumber": 1e-154 / scale,
+        })
+        out = tmp_path / f"{scale}.csv"
+        argv = ["hbt", "--config", str(path), "--baseline", f"0:{2e154 * scale!r}:3"]
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        return np.loadtxt(out, delimiter=",", skiprows=2)
+
+    huge, small = fringe(1.0), fringe(1e-4)
+    assert huge[:, 2] == pytest.approx([2.0, 1.96053, 1.84368], abs=1e-5)
+    assert huge[:, 1:] == pytest.approx(small[:, 1:], rel=0, abs=1e-12)
+
+
 # ---------------------------------------------------------------- misc
 
 
@@ -1183,10 +1205,24 @@ def test_parse_matches_the_full_parser(argv, capsys, monkeypatch):
     assert capsys.readouterr() == full
 
 
-def test_a_subcommand_run_builds_only_its_own_parser(config_path, monkeypatch, capsys):
-    def refuse():
-        raise AssertionError("the full parser was built")
+def test_a_second_run_builds_no_parser(config_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built")
 
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    assert run(["chsh", "--config", str(config_path)]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "S = 1.096016 (analytic)"
+    argv = ["chsh", "--config", str(config_path)]
+    assert run(argv) == EXIT_OK
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert run(argv) == EXIT_OK
+    assert run(["--version"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"S = 1.096016 (analytic)\nS = 1.096016 (analytic)\nskybell {skybell.__version__}\n"
+    )
+
+
+def test_run_calls_the_handler_bound_on_the_module_at_call_time(config_path, monkeypatch):
+    argv = ["chsh", "--config", str(config_path)]
+    assert run(argv) == EXIT_OK
+    calls = []
+    monkeypatch.setattr(cli, "cmd_chsh", lambda args, argv: calls.append(argv) or 7)
+    assert run(argv) == 7
+    assert calls == [argv]
