@@ -388,22 +388,12 @@ def cmd_fit(args, argv) -> int:
 
 def cmd_hbt(args, argv) -> int:
     loaded, seed = _load(args)
-    geometry = loaded.experiment.geometry
-
-    baseline = geometry.detector_b - geometry.detector_a
-    length = math.hypot(*baseline)  # np.linalg.norm overflows past ~1.3e154
-    if length <= 0.0:
-        raise ConfigError(
-            "geometry.detector_a, geometry.detector_b: must differ, "
-            "the hbt baseline runs from detector A towards detector B"
-        )
     lengths = _parse_grid(args.baseline, "--baseline")
     phases = np.zeros((len(lengths), 2))
     if args.random_phases:
         phases = random_phases(seed, len(lengths))
-    detector_b = geometry.detector_a + lengths[:, None] * (baseline / length)
     normalization = loaded.experiment.propagator_normalization
-    fringe = hbt_scan(geometry, detector_b, phases[:, 0], phases[:, 1], normalization)
+    fringe = hbt_scan(loaded.experiment.geometry, lengths, *phases.T, normalization)
 
     columns = (lengths, fringe.total, fringe.interference)
     render = functools.partial(_csv_text, HBT_CSV_COLUMNS, columns)

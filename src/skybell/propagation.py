@@ -26,6 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "Geometry", "HbtIntensity", "PathAmplitudeSet", "entangled_pair_weight",
     "hbt_intensity", "path_amplitudes", "propagate_pair", "scenario2_mask",
@@ -60,35 +62,37 @@ class Geometry:
     wavenumber: float
 
     def __post_init__(self):
-        object.__setattr__(self, "source1", _as_point(self.source1, "source1"))
-        object.__setattr__(self, "source2", _as_point(self.source2, "source2"))
-        object.__setattr__(self, "detector_a", _as_point(self.detector_a, "detector_a"))
-        object.__setattr__(self, "detector_b", _as_point(self.detector_b, "detector_b"))
+        for name in ("source1", "source2", "detector_a", "detector_b"):
+            object.__setattr__(self, name, _as_point(getattr(self, name), name))
         k = float(self.wavenumber)
         if not math.isfinite(k) or k <= 0.0:
             raise ValueError(f"wavenumber must be finite and > 0, got {self.wavenumber!r}")
         object.__setattr__(self, "wavenumber", k)
-        with np.errstate(over="ignore"):  # a leg out of float range is refused below
-            lengths = tuple(
-                float(np.linalg.norm(s - d))
-                for d in (self.detector_a, self.detector_b)
-                for s in (self.source1, self.source2)
-            )
+        s1, s2, da, db = self.source1, self.source2, self.detector_a, self.detector_b
+        lengths = _distance(np.array((s1, s2, s1, s2)), np.array((da, da, db, db)))
         _check_legs(k, lengths)
-        object.__setattr__(self, "_lengths", lengths)
+        object.__setattr__(self, "_lengths", tuple(lengths.tolist()))
 
     def path_lengths(self) -> tuple[float, float, float, float]:
         """Leg lengths (r_1A, r_2A, r_1B, r_2B), measured once, at construction."""
         return self._lengths
 
 
-def _check_legs(k: float, lengths) -> None:
-    """Every leg length (r_1A, r_2A, r_1B, r_2B), floats or arrays, must be > 0 with k r finite."""
-    for r, name in zip(lengths, ("1->A", "2->A", "1->B", "2->B")):
-        # np.any on a Python float would cost more than measuring the leg
-        if (r <= 0.0).any() if isinstance(r, np.ndarray) else r <= 0.0:
+def _distance(a, b) -> np.ndarray:
+    """|a - b| over the last axis, inf where it is out of float range."""
+    with np.errstate(over="ignore"):
+        d = np.subtract(a, b)
+        return np.hypot(np.hypot(d[..., 0], d[..., 1]), d[..., 2])
+
+
+def _check_legs(k: float, lengths: np.ndarray, names=("1->A", "2->A", "1->B", "2->B")) -> None:
+    """Each row of ``lengths`` is the leg named alike; all must be > 0 with k r finite."""
+    if lengths.min(initial=math.inf) > 0.0 and math.isfinite(k * float(lengths.max(initial=0.0))):
+        return
+    for name, r in zip(names, lengths):
+        if (r <= 0.0).any():  # reached only to name the leg that fails
             raise ValueError(f"source/detector pair {name} is coincident")
-        if not (np.isfinite(k * r).all() if isinstance(r, np.ndarray) else math.isfinite(k * r)):
+        if not math.isfinite(k * float(r.max())):  # a NaN leg's max is NaN
             raise ValueError(f"source/detector pair {name}: its length or phase k r overflows")
 
 
@@ -183,21 +187,29 @@ def hbt_intensity(amps: PathAmplitudeSet) -> HbtIntensity:
 
 
 def hbt_scan(
-    geometry, detector_b, phi1=0.0, phi2=0.0, normalization=NORMALIZATIONS[0]
+    geometry, baselines, phi1=0.0, phi2=0.0, normalization=NORMALIZATIONS[0]
 ) -> HbtIntensity:
-    """``hbt_intensity`` with detector B at each row of the (n, 3) array ``detector_b``.
+    """``hbt_intensity`` with detector B at each of the length-n ``baselines`` from A.
 
-    ``geometry``'s own detector B is ignored; ``phi1``/``phi2`` are numbers or
-    length-n arrays.  Returns length-n arrays.  Raises ValueError naming the
-    leg if detector B lands on a source or a leg's length or phase k r
-    overflows, OverflowError if an intensity overflows.
+    B moves along the line from ``geometry``'s detector A towards its own B;
+    ``phi1``/``phi2`` are numbers or length-n arrays.  Returns length-n arrays.
+    Raises ConfigError if the detectors coincide, ValueError naming the leg if
+    B lands on a source or a leg's length or k r overflows, OverflowError if an
+    intensity overflows.
     """
-    with np.errstate(over="ignore"):  # a leg out of float range is refused here
-        lengths = geometry.path_lengths()[:2] + tuple(
-            np.linalg.norm(s - detector_b, axis=1) for s in (geometry.source1, geometry.source2)
-        )
-        _check_legs(geometry.wavenumber, lengths)
-    return hbt_intensity(_legs(geometry.wavenumber, lengths, phi1, phi2, normalization))
+    g = geometry
+    span = _distance(g.detector_b, g.detector_a)
+    if span <= 0.0:
+        raise ConfigError("geometry.detector_a, geometry.detector_b: must differ, "
+                          "the hbt baseline runs from detector A towards detector B")
+    # detectors out of float range apart give NaN rows, refused as legs below
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (g.detector_b - g.detector_a) / span
+        detector_b = g.detector_a + np.multiply.outer(baselines, step)
+    b_legs = _distance(np.array((g.source1, g.source2))[:, None], detector_b)
+    _check_legs(g.wavenumber, b_legs, ("1->B", "2->B"))
+    lengths = g.path_lengths()[:2] + tuple(b_legs)
+    return hbt_intensity(_legs(g.wavenumber, lengths, phi1, phi2, normalization))
 
 
 def entangled_pair_weight(amps: PathAmplitudeSet) -> float:

@@ -670,7 +670,8 @@ def test_overflowing_intensity_exits_three(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("updates", [
-    {"geometry.source1": [0.0, 0.0, 1.0e200]},
+    # source 1 minus detector A is 2e308 in z, past float64's ~1.8e308
+    {"geometry.source1": [0.0, 0.0, 1.0e308], "geometry.detector_a": [0.0, 0.0, -1.0e308]},
     {"geometry.source1": [0.0, 0.0, 1.0e10], "geometry.wavenumber": 1.0e300},
 ], ids=["length", "phase"])
 def test_an_overflowing_leg_in_the_config_exits_two_naming_it(tmp_path, capsys, updates):
@@ -684,7 +685,8 @@ def test_an_overflowing_leg_in_the_config_exits_two_naming_it(tmp_path, capsys, 
 
 def test_an_overflowing_hbt_baseline_exits_three_naming_the_leg(config_path, tmp_path, capsys):
     out = tmp_path / "hbt.csv"
-    argv = ["hbt", "--config", str(config_path), "--baseline", "0:1e200:5", "--out", str(out)]
+    # the 1e308 row's legs are finite, but k r = 2 pi 1e308 is not
+    argv = ["hbt", "--config", str(config_path), "--baseline", "0:1e308:5", "--out", str(out)]
     assert run(argv) == EXIT_NUMERICAL
     assert capsys.readouterr().err == (
         "numerical error: source/detector pair 1->B: its length or phase k r overflows\n"
@@ -692,9 +694,34 @@ def test_an_overflowing_hbt_baseline_exits_three_naming_the_leg(config_path, tmp
     assert sorted(p.name for p in tmp_path.iterdir()) == [config_path.name]
 
 
+FAR = {  # legs of ~1e155, whose squared length overflows; k r is ~0.1
+    "geometry.source1": [-1.0e154, 0.0, 1.0e155],
+    "geometry.source2": [1.0e154, 0.0, 1.0e155],
+    "geometry.detector_a": [-1.0e154, 0.0, 0.0],
+    "geometry.detector_b": [1.0e154, 0.0, 0.0],
+    "geometry.wavenumber": 1.0e-156,
+}
+
+
+@pytest.mark.parametrize("updates, argv", [
+    ({"geometry.source1": [0.0, 0.0, 1.0e200]}, ["chsh"]),
+    ({}, ["hbt", "--baseline", "0:1e200:5"]),
+    (FAR, ["chsh", "--n", "1000", "--seed", "1"]),
+    (FAR, ["hbt", "--baseline", "0:2e154:3"]),
+], ids=["source-1e200", "baseline-1e200", "far-chsh", "far-hbt"])
+def test_legs_whose_length_and_phase_are_finite_run(tmp_path, updates, argv):
+    # every leg length is measured without squaring it, so only a length or
+    # k r past float range is refused; pytest turns any numpy warning into an error
+    path = write_variant(tmp_path, "far.yaml", **updates)
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert out.exists()
+
+
 def test_an_hbt_baseline_past_the_norms_overflow_scans_like_a_scaled_down_one(tmp_path):
-    # a 2e154 baseline's squared norm overflows; the fringe depends only on k r,
-    # so the same config scaled down by 1e4 (k up by 1e4) gives the same rows
+    # a 2e154 baseline's squared length would overflow, but no leg is measured by
+    # squaring it; the fringe depends only on k r, so the same config scaled down
+    # by 1e4 (k up by 1e4) gives the same rows
     def fringe(scale):
         path = write_variant(tmp_path, f"{scale}.yaml", **{
             "geometry.detector_a": [-1e154 * scale, 0.0, 0.0],

@@ -7,6 +7,7 @@ import pytest
 from helpers import far_field_geometry, random_geometry
 
 from skybell import (
+    ConfigError,
     Geometry,
     PathAmplitudeSet,
     bell_state,
@@ -63,20 +64,22 @@ def test_geometry_validation():
 
 
 def test_hbt_scan_moves_only_detector_b():
-    # the geometry's own detector B sits far off; only the scanned rows count
+    # detector B moves along the line from A through the geometry's own B, however
+    # far off that sits; the sources, detector A and k are untouched
     geo = far_field_geometry()
-    parked = Geometry(
+    further = Geometry(
         source1=geo.source1, source2=geo.source2, detector_a=geo.detector_a,
-        detector_b=[50.0, 7.0, 0.0], wavenumber=geo.wavenumber,
+        detector_b=[50.0, 0.0, 0.0], wavenumber=geo.wavenumber,
     )
     rows = np.array([geo.detector_b, [3.0, 0.0, 0.0]])
     for norm in ("phase-only", "spherical"):
-        scan = hbt_scan(parked, rows, normalization=norm)
         ref = per_row_hbt(geo, rows, (0.0, 0.0), (0.0, 0.0), norm)
-        assert scan.total.shape == scan.interference.shape == (2,)
         scale = ref[:, 0] - ref[:, 1]
-        assert np.all(np.abs(scan.total - ref[:, 0]) <= 1e-12 * scale)
-        assert np.all(np.abs(scan.interference - ref[:, 1]) <= 1e-12 * scale)
+        for g in (geo, further):
+            scan = hbt_scan(g, [2.0, 4.0], normalization=norm)
+            assert scan.total.shape == scan.interference.shape == (2,)
+            assert np.all(np.abs(scan.total - ref[:, 0]) <= 1e-12 * scale)
+            assert np.all(np.abs(scan.interference - ref[:, 1]) <= 1e-12 * scale)
 
 
 @pytest.mark.parametrize("norm", ["phase-only", "spherical"])
@@ -84,11 +87,11 @@ def test_hbt_scan_moves_only_detector_b():
 def test_hbt_scan_matches_per_row_reference(norm, random_phases):
     rng = np.random.default_rng(41)
     geo = random_geometry(rng)
-    baseline = geo.detector_b - geo.detector_a
+    direction = (geo.detector_b - geo.detector_a) / math.dist(geo.detector_b, geo.detector_a)
     lengths = np.linspace(0.0, 20.0, 201)
-    detector_b = geo.detector_a + lengths[:, None] * (baseline / np.linalg.norm(baseline))
+    detector_b = geo.detector_a + lengths[:, None] * direction
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(201, 2)) if random_phases else np.zeros((201, 2))
-    scan = hbt_scan(geo, detector_b, phi1=phases[:, 0], phi2=phases[:, 1], normalization=norm)
+    scan = hbt_scan(geo, lengths, phi1=phases[:, 0], phi2=phases[:, 1], normalization=norm)
     ref = per_row_hbt(geo, detector_b, phases[:, 0], phases[:, 1], norm)
     # relative to the row's scale: the interference term crosses zero
     scale = ref[:, 0] - ref[:, 1]
@@ -98,10 +101,22 @@ def test_hbt_scan_matches_per_row_reference(norm, random_phases):
 
 
 def test_hbt_scan_names_a_coincident_leg():
-    geo = far_field_geometry()
-    rows = np.array([[0.0, 0.0, 0.0], geo.source2])
+    # source 2 sits on the baseline, 3 from detector A
+    geo = Geometry(source1=[0.0, 0.0, 10.0], source2=[3.0, 0.0, 0.0], detector_a=[0.0, 0.0, 0.0],
+                   detector_b=[1.0, 0.0, 0.0], wavenumber=1.0)
     with pytest.raises(ValueError, match="2->B"):
-        hbt_scan(geo, rows)
+        hbt_scan(geo, [0.0, 3.0])
+
+
+def test_hbt_scan_of_no_baselines_is_empty():
+    scan = hbt_scan(far_field_geometry(), np.zeros(0))
+    assert scan.total.shape == scan.interference.shape == (0,)
+
+
+def test_hbt_scan_refuses_coincident_detectors():
+    geo = far_field_geometry(baseline=0.0)
+    with pytest.raises(ConfigError, match="geometry.detector_a, geometry.detector_b: must differ"):
+        hbt_scan(geo, [1.0])
 
 
 def test_path_amplitudes_phase_only():
@@ -169,9 +184,8 @@ def test_hbt_observables_are_phase_invariant():
 def test_fringe_spacing_matches_far_field_estimate():
     # sources split by 10 at range 1000: fringe period lambda * R / split
     geo = far_field_geometry(split=10.0, distance=1000.0, wavenumber=2.0 * math.pi)
-    direction = np.array([1.0, 0.0, 0.0])
     lengths = np.linspace(0.0, 100.0, 1001)
-    fringe = hbt_scan(geo, geo.detector_a + lengths[:, None] * direction).interference
+    fringe = hbt_scan(geo, lengths).interference
     # the loop phase starts at 0 and winds once: cos crosses zero at 1/4 and 3/4 period
     crossings = np.flatnonzero(np.diff(np.sign(fringe)))
     assert fringe[0] == pytest.approx(2.0) and len(crossings) == 2

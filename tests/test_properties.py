@@ -32,6 +32,7 @@ from skybell import (
     effective_density_matrix,
     path_amplitudes,
     projector_from_axis,
+    propagation,
     source_density,
 )
 from skybell.background import OUTCOME_PAIRS, correlation_tensor
@@ -70,7 +71,7 @@ def reference_legs(geometry, phi1, phi2, normalization):
     g = geometry
     pairs = ((g.source1, g.detector_a), (g.source2, g.detector_a),
              (g.source1, g.detector_b), (g.source2, g.detector_b))
-    lengths = [float(np.linalg.norm(s - d)) for s, d in pairs]
+    lengths = [float(np.hypot(np.hypot(x, y), z)) for x, y, z in (s - d for s, d in pairs)]
     legs = [np.exp(1j * (g.wavenumber * r + phi))
             for r, phi in zip(lengths, (phi1, phi2, phi1, phi2))]
     if normalization == "spherical":
@@ -115,6 +116,44 @@ def test_leg_lengths_and_amplitudes_are_the_formulas_bitwise(geometry, phases, n
     amps = effective_amplitudes(cfg)
     fields = (amps.d1a, amps.d2a, amps.d1b, amps.d2b)
     assert list(map(complex_bits, fields)) == list(map(complex_bits, legs))
+
+
+# within +-1e300 every distance is finite; the full float range reaches overflow
+coordinates = st.one_of(st.floats(-1e300, 1e300), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(a=st.tuples(coordinates, coordinates, coordinates),
+       b=st.tuples(coordinates, coordinates, coordinates))
+def test_distance_is_within_an_ulp_of_math_dist_and_overflows_with_it(a, b):
+    got, want = float(propagation._distance(a, b)), math.dist(a, b)
+    assert math.isfinite(got) == math.isfinite(want)
+    if math.isfinite(want):
+        assert abs(got - want) <= math.ulp(want)
+
+
+# an hbt row and the model read the same leg bits wherever detector B stands
+@PROPERTY_SETTINGS
+@given(geometry=geometries(), baselines=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8))
+def test_hbt_b_legs_are_the_geometrys_own_bitwise(geometry, baselines):
+    g = geometry
+    assume(math.dist(g.detector_a, g.detector_b) > 0.0)
+    rows, legs = [], []
+
+    def measure(a, b, distance=propagation._distance):
+        rows.append(b)
+        return distance(a, b)
+
+    def amplitudes(k, lengths, *args, build=propagation._legs):
+        legs.append(lengths[2:])
+        return build(k, lengths, *args)
+
+    with mock.patch.multiple(propagation, _distance=measure, _legs=amplitudes):
+        propagation.hbt_scan(g, baselines)
+    for row, r1b, r2b in zip(rows[-1], *legs[-1]):
+        at_row = Geometry(source1=g.source1, source2=g.source2, detector_a=g.detector_a,
+                          detector_b=row, wavenumber=g.wavenumber)
+        assert bits(at_row.path_lengths()[2:]) == bits((r1b, r2b))
 
 
 @PROPERTY_SETTINGS
