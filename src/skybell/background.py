@@ -183,35 +183,27 @@ def correlation_tensor(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np.ndarr
     K[m, n] = Tr[(B_m x B_n) rho_eff] with rho_eff from
     :func:`effective_density_matrix`, in closed form over the pairings:
 
-        K = sum w [ |d_iA d_jB|^2 s_i s_j^T + |d_jA d_iB|^2 s_j s_i^T
-                    + 2 Re(z) G(s_i, s_j) ],
+        K = sum w [ |a|^2 s_i s_j^T + |b|^2 s_j s_i^T + 2 Re(a conj b) G(s_i, s_j) ],
 
-    with the sources' Stokes vectors s, z = d_iA d_jB conj(d_jA d_iB) and
-    G(s_i, s_j)[m, n] = Tr[B_m rho_i B_n rho_j] (``_EXCHANGE``).  K[0, 0]
-    is the total rate w, K[1:, 0] and K[0, 1:] are w m_A and w m_B,
-    K[1:, 1:] is w T.  Raises ConsistencyError on an imaginary residue or
-    a total rate below -1e-12, both of which signal corrupt inputs.
+    with each pairing's routes (a, b) = ``amps.routes(i, j)``, the sources'
+    Stokes vectors s and G(s_i, s_j)[m, n] = Tr[B_m rho_i B_n rho_j]
+    (``_EXCHANGE``).  K[0, 0] is the total rate w, K[1:, 0] and K[0, 1:]
+    are w m_A and w m_B, K[1:, 1:] is w T.  Raises ConsistencyError on a
+    total rate below -1e-12.
     """
-    d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))
     # coefficients of s_a s_b^T in the direct and the exchange terms
     direct = [[0.0, 0.0], [0.0, 0.0]]
     exchange = [[0.0, 0.0], [0.0, 0.0]]
     for w, i, j in spec.pairings():
         if w == 0.0:
             continue
-        dia, dib = d[i]
-        dja, djb = d[j]
-        direct[i][j] += w * abs(dia * djb) ** 2
-        direct[j][i] += w * abs(dja * dib) ** 2
-        exchange[i][j] += 2.0 * w * (dia * djb * (dja * dib).conjugate()).real
+        a, b = amps.routes(i, j)
+        direct[i][j] += w * abs(a) ** 2
+        direct[j][i] += w * abs(b) ** 2
+        exchange[i][j] += 2.0 * w * (a * b.conjugate()).real
     s = np.array([_stokes(spec.axis1, spec.alpha1), _stokes(spec.axis2, spec.alpha2)])
     k = s.T @ np.array(direct) @ s
     k += (_EXCHANGE @ (s.T @ np.array(exchange) @ s).reshape(9)).reshape(3, 3)
-    if np.iscomplexobj(k):  # only corrupt, complex weights get here
-        residue = float(np.max(np.abs(k.imag)))
-        if residue > 1e-12 * max(1.0, float(np.max(np.abs(k.real)))):
-            raise ConsistencyError(f"correlation tensor has imaginary residue {residue:.3e}")
-        k = k.real
     if k[0, 0] < _NEGATIVE_TOL:
         raise ConsistencyError(
             f"total coincidence rate {k[0, 0]:.3e} is negative beyond tolerance"
@@ -252,16 +244,13 @@ def effective_density_matrix(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np
     feed it into :func:`skybell.polarization.joint_outcome_probability`.
     """
     rhos = tuple(s.rho for s in spec.densities())
-    d = ((amps.d1a, amps.d1b), (amps.d2a, amps.d2b))
     out = np.zeros((4, 4), dtype=complex)
     for w, i, j in spec.pairings():
         if w == 0.0:
             continue
-        dia, dib = d[i]
-        dja, djb = d[j]
-        z = dia * djb * np.conj(dja * dib)
+        a, b = amps.routes(i, j)
         kron_ij = np.multiply.outer(rhos[i], rhos[j]).transpose(0, 2, 1, 3).reshape(4, 4)
-        direct = abs(dia * djb) ** 2 * kron_ij + abs(dja * dib) ** 2 * kron_ij[_SWAP][:, _SWAP]
-        exchange = z * kron_ij[:, _SWAP]
+        direct = abs(a) ** 2 * kron_ij + abs(b) ** 2 * kron_ij[_SWAP][:, _SWAP]
+        exchange = a * np.conj(b) * kron_ij[:, _SWAP]
         out += w * (direct + exchange + exchange.conj().T)
     return out

@@ -14,9 +14,8 @@ class ConfigError(SkybellError):
 class ConsistencyError(SkybellError):
     """An internal identity that must hold numerically was violated.
 
-    Raised when a quantity that is nonnegative or real by construction
-    comes out otherwise, which signals corrupt inputs rather than a user
-    mistake.
+    Raised when the background's total coincidence rate, nonnegative by
+    construction, comes out below -1e-12.
     """
 
 

@@ -10,12 +10,13 @@ where r_iX is the leg length, k the wavenumber and phi_i a random
 emission phase of source i.  Polarization rides along unchanged, so the
 amplitudes are spin independent.
 
-Intensity interferometry pairs one photon from each source.  The
-coincidence amplitude is d1a*d2b + d2a*d1b, and its squared magnitude
-splits into the direct part |d1a d2b|^2 + |d2a d1b|^2 plus the
-interference term 2 Re(d1a d2b conj(d2a d1b)).  The interference term
-depends only on the closed four-leg loop, so the random per-source
-phases cancel out of it exactly.
+A pair with one photon from each source reaches the detectors by two
+routes, a = d1a d2b and b = d2a d1b, formed once by
+:meth:`PathAmplitudeSet.routes`, the only code that multiplies two legs.
+|a + b|^2 splits into the direct part |a|^2 + |b|^2 plus the interference
+term 2 Re(a conj b); a conj b is the closed four-leg loop, so the random
+per-source phases cancel out of it exactly.  Scenario II
+(:func:`scenario2_mask`) zeroes route b.
 """
 
 from __future__ import annotations
@@ -133,13 +134,11 @@ class PathAmplitudeSet:
                 raise ValueError(f"amplitude {name} must be finite, got {v!r}")
             object.__setattr__(self, name, v)
 
-    def loop_product(self) -> complex:
-        """d1a * d2b * conj(d2a * d1b): the closed four-leg loop.
-
-        Source emission phases enter each forward leg once and each
-        conjugated leg once, so they cancel here.
-        """
-        return self.d1a * self.d2b * np.conj(self.d2a * self.d1b)
+    def routes(self, i: int = 0, j: int = 1) -> tuple[complex, complex]:
+        """(d_iA d_jB, d_jA d_iB): sources i, j (0 or 1) to A, B, and the other way round."""
+        legs = ((self.d1a, self.d1b), (self.d2a, self.d2b))
+        (dia, dib), (dja, djb) = legs[i], legs[j]
+        return dia * djb, dja * dib
 
 
 def path_amplitudes(
@@ -170,16 +169,17 @@ class HbtIntensity(NamedTuple):
 def hbt_intensity(amps: PathAmplitudeSet) -> HbtIntensity:
     """Coincidence intensity for one unpolarized photon from each source.
 
-    Returns (total, interference) where
+    Returns (total, interference) over the routes (a, b) = ``amps.routes()``:
 
-        total        = |d1a d2b|^2 + |d2a d1b|^2 + interference
-        interference = 2 Re[d1a d2b conj(d2a d1b)].
+        total        = |a|^2 + |b|^2 + interference
+        interference = 2 Re[a conj(b)].
 
     Raises OverflowError unless the total, hence the interference, is finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.abs(amps.d1a * amps.d2b) ** 2 + np.abs(amps.d2a * amps.d1b) ** 2
-        interference = 2.0 * np.real(amps.loop_product())
+        a, b = amps.routes()
+        direct = np.abs(a) ** 2 + np.abs(b) ** 2
+        interference = 2.0 * np.real(a * np.conj(b))
         total = direct + interference
     if not np.all(np.isfinite(total)):
         raise OverflowError("hbt intensity is out of floating-point range")
@@ -198,13 +198,15 @@ def hbt_scan(
     intensity overflows.
     """
     g = geometry
-    span = _distance(g.detector_b, g.detector_a)
+    # a quarter of B - A cannot overflow, and scaling by 2^-2 keeps the direction's bits
+    a4, b4 = g.detector_a * 0.25, g.detector_b * 0.25
+    span = _distance(b4, a4)
     if span <= 0.0:
         raise ConfigError("geometry.detector_a, geometry.detector_b: must differ, "
                           "the hbt baseline runs from detector A towards detector B")
-    # detectors out of float range apart give NaN rows, refused as legs below
-    with np.errstate(over="ignore", invalid="ignore"):
-        step = (g.detector_b - g.detector_a) / span
+    # a baseline past float range puts B at inf, refused as a leg below
+    with np.errstate(over="ignore"):
+        step = (b4 - a4) / span
         detector_b = g.detector_a + np.multiply.outer(baselines, step)
     b_legs = _distance(np.array((g.source1, g.source2))[:, None], detector_b)
     _check_legs(g.wavenumber, b_legs, ("1->B", "2->B"))
@@ -213,24 +215,25 @@ def hbt_scan(
 
 
 def entangled_pair_weight(amps: PathAmplitudeSet) -> float:
-    """Propagation weight |d1a d2b + d2a d1b|^2 of the entangled pair.
+    """Propagation weight |a + b|^2 of the entangled pair, over its routes (a, b).
 
     The pair's polarization state factors out of propagation, so its
     correlators at the detectors are the source-frame correlators times
     this single nonnegative number.  This symmetric route sum holds for a
     state the photon swap leaves unchanged (Bell kind 1); the singlet
     (kind 2) changes sign under the swap, so its weight is
-    |d1a d2b - d2a d1b|^2, and with both routes live (scenario I) the
-    model's kind-2 weight from this function is wrong.
+    |a - b|^2, and with both routes live (scenario I) the model's kind-2
+    weight from this function is wrong.
     """
-    return float(abs(amps.d1a * amps.d2b + amps.d2a * amps.d1b) ** 2)
+    a, b = amps.routes()
+    return float(abs(a + b) ** 2)
 
 
 def scenario2_mask(amps: PathAmplitudeSet) -> PathAmplitudeSet:
     """Wide-separation mask: detector A sees only source 1, B only source 2.
 
-    Zeroes the cross legs d2a and d1b; the loop product and hence every
-    interference term vanishes afterwards.
+    Zeroes the cross legs d2a and d1b, so route b of every pairing
+    (:meth:`PathAmplitudeSet.routes`) and every interference term vanish.
     """
     return replace(amps, d2a=0j, d1b=0j)
 
@@ -238,15 +241,15 @@ def scenario2_mask(amps: PathAmplitudeSet) -> PathAmplitudeSet:
 def propagate_pair(amp4: np.ndarray, amps: PathAmplitudeSet) -> np.ndarray:
     """Unnormalized pair amplitudes at the detectors.
 
-    Sums the two routes explicitly: source 1 to A with source 2 to B,
-    and source 2 to A with source 1 to B.  Both routes carry the same
-    polarization amplitudes, so the result equals
-    amp4 * (d1a d2b + d2a d1b).  That holds for a symmetric pair state
-    (Bell kind 1); the second route swaps the photons, which flips the
-    singlet's (kind 2) sign, so its pair amplitudes are
-    amp4 * (d1a d2b - d2a d1b).
+    Sums the two routes (a, b) of :meth:`PathAmplitudeSet.routes`
+    explicitly: source 1 to A with source 2 to B, and source 2 to A with
+    source 1 to B.  Both routes carry the same polarization amplitudes, so
+    the result equals amp4 * (a + b).  That holds for a symmetric pair
+    state (Bell kind 1); the second route swaps the photons, which flips
+    the singlet's (kind 2) sign, so its pair amplitudes are amp4 * (a - b).
     """
     amp4 = np.asarray(amp4, dtype=complex)
     if amp4.shape != (4,):
         raise ValueError(f"need 4 pair amplitudes, got shape {amp4.shape}")
-    return (amps.d1a * amps.d2b) * amp4 + (amps.d2a * amps.d1b) * amp4
+    a, b = amps.routes()
+    return a * amp4 + b * amp4

@@ -7,7 +7,6 @@ from helpers import outcome_rates, random_geometry
 
 from skybell import (
     BackgroundSpec,
-    ConsistencyError,
     PolarizerAxis,
     PathAmplitudeSet,
     background_correlator,
@@ -291,29 +290,6 @@ def test_correlator_stays_in_bounds():
         b = PolarizerAxis(rng.uniform(0.0, math.pi))
         e = background_correlator(spec, amps, a, b)
         assert -1.0 - 1e-10 <= e <= 1.0 + 1e-10
-
-
-def test_corrupt_amplitudes_trip_the_consistency_check():
-    spec = make_spec()
-    amps = PathAmplitudeSet(d1a=1.0, d2a=1.0, d1b=1.0, d2b=1.0)
-    # bypass frozen-field protection to corrupt one leg after validation
-    object.__setattr__(amps, "d1a", complex(1.0, 0.0))
-    # a genuinely inconsistent input needs mismatched forward/conjugate use;
-    # emulate by monkeypatching the pairing weights to break realness
-    bad = BackgroundSpec.__new__(BackgroundSpec)
-    for name, val in (
-        ("axis1", PolarizerAxis(0.0)),
-        ("axis2", PolarizerAxis(0.0)),
-        ("alpha1", 1.0),
-        ("alpha2", 1.0),
-        ("w12", 1.0 + 0.5j),
-        ("w21", 0.0),
-        ("w11", 0.0),
-        ("w22", 0.0),
-    ):
-        object.__setattr__(bad, name, val)
-    with pytest.raises(ConsistencyError):
-        background_correlator(bad, amps, PolarizerAxis(0.2), PolarizerAxis(0.9))
 
 
 # ---------------------------------------------------------------- density route

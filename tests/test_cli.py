@@ -740,6 +740,28 @@ def test_an_hbt_baseline_past_the_norms_overflow_scans_like_a_scaled_down_one(tm
     assert huge[:, 1:] == pytest.approx(small[:, 1:], rel=0, abs=1e-12)
 
 
+def test_hbt_detectors_farther_apart_than_float_range_scan_like_scaled_down_ones(tmp_path):
+    # B - A is 2e308 and overflows, but the baseline direction does not need it;
+    # scaling every position by 2^-10 and k by 2^10 is exact, so the rows match bit for bit
+    def fringe(scale):
+        path = write_variant(tmp_path, f"{scale}.yaml", **{
+            "geometry.detector_a": [-1.0e308 * scale, 0.0, 0.0],
+            "geometry.detector_b": [1.0e308 * scale, 0.0, 0.0],
+            "geometry.source1": [-1.0e307 * scale, 0.0, 1.0e307 * scale],
+            "geometry.source2": [1.0e307 * scale, 0.0, 1.0e307 * scale],
+            "geometry.wavenumber": 1.0e-300 / scale,
+            "propagation.normalization": "phase-only",
+        })
+        out = tmp_path / f"{scale}.csv"
+        argv = ["hbt", "--config", str(path), "--baseline", f"0:{scale!r}:3"]
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        return out.read_text(encoding="utf-8").splitlines()[2:]
+
+    huge, small = fringe(1.0), fringe(2.0**-10)
+    assert len(huge) == 3
+    assert [row.split(",")[1:] for row in huge] == [row.split(",")[1:] for row in small]
+
+
 # ---------------------------------------------------------------- misc
 
 
@@ -753,6 +775,8 @@ def test_an_hbt_baseline_past_the_norms_overflow_scans_like_a_scaled_down_one(tm
         (["--n", "many"], "--n"),
         (["--angles", "0:inf:22.5:157.5"], "--angles"),
         (["--n", str(2**63)], "--n"),
+        (["--angles", "1:2:3"], "--angles: expected a:a':b:b' in degrees"),
+        (["--angles", "a:b:c:d"], "--angles: expected a:a':b:b' in degrees"),
     ],
 )
 def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
@@ -783,6 +807,9 @@ def test_bad_chsh_flags_exit_two(config_path, capsys, extra, flag):
         ("background.weights", {"w12": 0, "w21": 0}),
         # the sum of the weights overflows
         ("background.weights", {"w12": 1e308, "w21": 1e308}),
+        # a section that is not a mapping, and an empty one
+        ("background", 3),
+        ("geometry", None),
     ],
 )
 def test_bad_config_values_exit_two(tmp_path, capsys, field, value):

@@ -150,6 +150,16 @@ def test_missing_fields_are_named():
         parse_config(doc)
 
     doc = base_doc()
+    del doc["geometry"]
+    with pytest.raises(ConfigError, match="^geometry: missing required section$"):
+        parse_config(doc)
+
+    doc = base_doc()
+    del doc["geometry"]["source1"]
+    with pytest.raises(ConfigError, match="^geometry.source1: missing required value$"):
+        parse_config(doc)
+
+    doc = base_doc()
     del doc["entangled_fraction"]
     with pytest.raises(ConfigError, match="entangled_fraction"):
         parse_config(doc)

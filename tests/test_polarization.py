@@ -379,3 +379,5 @@ def test_joint_outcome_probability_rejects_invalid_matrices():
         joint_outcome_probability(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), a0, a0, +1, +1)
     with pytest.raises(ValueError):
         joint_outcome_probability(np.eye(4, dtype=complex) / 2.0, a0, a0, +1, +1)
+    with pytest.raises(ValueError, match=r"must be 4x4, got shape \(3, 3\)"):
+        joint_outcome_probability(np.eye(3, dtype=complex) / 3.0, a0, a0, +1, +1)

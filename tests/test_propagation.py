@@ -36,6 +36,12 @@ def per_row_hbt(geo, detector_b, phi1, phi2, normalization):
     return np.array(rows)
 
 
+def loop(amps):
+    """a conj(b) over the two routes: the closed four-leg loop."""
+    a, b = amps.routes()
+    return a * np.conj(b)
+
+
 def test_geometry_path_lengths():
     # 3-4-5 triangles on purpose
     geo = Geometry(
@@ -60,6 +66,11 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         Geometry(
             source1=[0, 0, 5], source2=[1, 0, 5], detector_a=p, detector_b=[0, 1], wavenumber=1.0
+        )
+    with pytest.raises(ValueError, match="^source1 must be finite$"):
+        Geometry(
+            source1=[math.nan, 0, 5], source2=[1, 0, 5], detector_a=p, detector_b=[0, 1, 0],
+            wavenumber=1.0,
         )
 
 
@@ -148,11 +159,19 @@ def test_amplitude_set_rejects_non_finite():
 
 def test_loop_product_cancels_source_phases():
     geo = far_field_geometry()
-    ref = path_amplitudes(geo).loop_product()
+    ref = loop(path_amplitudes(geo))
     rng = np.random.default_rng(31)
     for phi1, phi2 in rng.uniform(0.0, 2.0 * math.pi, size=(100, 2)):
-        loop = path_amplitudes(geo, phi1=phi1, phi2=phi2).loop_product()
-        assert abs(loop - ref) < 1e-12
+        got = loop(path_amplitudes(geo, phi1=phi1, phi2=phi2))
+        assert abs(got - ref) < 1e-12
+
+
+def test_routes_pair_each_source_with_each_detector():
+    amps = PathAmplitudeSet(d1a=2.0, d2a=3.0, d1b=5.0, d2b=7.0)
+    assert amps.routes() == amps.routes(0, 1) == (2.0 * 7.0, 3.0 * 5.0)
+    assert amps.routes(1, 0) == (3.0 * 5.0, 2.0 * 7.0)
+    assert amps.routes(0, 0) == (2.0 * 5.0, 2.0 * 5.0)
+    assert amps.routes(1, 1) == (3.0 * 7.0, 3.0 * 7.0)
 
 
 def test_hbt_intensity_identities():
@@ -219,7 +238,7 @@ def test_scenario2_mask_zeroes_the_cross_legs():
     masked = scenario2_mask(amps)
     assert masked.d2a == 0j and masked.d1b == 0j
     assert masked.d1a == amps.d1a and masked.d2b == amps.d2b
-    assert masked.loop_product() == 0j
+    assert masked.routes()[1] == 0j and loop(masked) == 0j
     assert hbt_intensity(masked).interference == 0.0
 
 

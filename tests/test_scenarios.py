@@ -327,6 +327,18 @@ def test_extract_signal_refuses_a_nulled_background_column():
     assert "vanishes" in str(err.value)
 
 
+def test_extract_signal_refuses_a_vanishing_signal_column():
+    # theta_b = theta_a + 45 degrees on every row puts cos 2(theta_a - theta_b) at 0
+    theta_a = np.array([0.1, 0.3, 0.5, 0.7])
+    z = np.zeros(4)
+    scan = ScanResult(theta_a=theta_a, theta_b=theta_a + math.pi / 4, e=z, e_signal=z,
+                      e_background=z, w_signal=z, w_background=z)
+    with pytest.raises(DegenerateDesignError) as err:
+        extract_signal(scan, beta1=0.0, beta2=0.0)
+    assert err.value.second_singular_value < 1e-10
+    assert "signal basis cos 2(theta_a - theta_b) vanishes on this scan" in str(err.value)
+
+
 def test_extract_signal_refuses_parallel_bases_in_scenario_one():
     # small source separation, unpolarized sources: the recorded background
     # correlator column is itself proportional to cos 2(ta - tb)
