@@ -3,8 +3,11 @@
 Every output file is paired with a JSON run manifest (same path plus
 ".manifest.json") recording the command, config, seed and outputs; CSV
 files carry a leading "# manifest: ..." comment pointing back at it.
-Floats are written with full repr precision so files round-trip exactly;
-each distinct value of the table is formatted once (``_csv_rows``).
+Floats are written with full repr precision so files round-trip exactly.
+A scan's outer-product grid repeats most of its values, so each distinct
+value is formatted once (``_csv_rows``); hbt's 1-D sweep over baselines
+rarely repeats one, so its rows are formatted value by value
+(``_sweep_rows``).  Both give the same bytes.
 
 ``_publish`` renders the whole text of a run's output, which names its
 manifest, and writes both in one step (``_write_fresh``): both texts go to
@@ -155,9 +158,11 @@ def _publish(args, argv, render, seed) -> None:
 def _csv_rows(*columns):
     """One CSV line per row of the columns, each value as the repr of a Python float.
 
-    Each distinct value of the whole table is formatted once.  Values are
-    told apart by their bits, so -0.0 and 0.0 (and every NaN) keep their
-    own repr, and the lines are the same as formatting every value.
+    For grid tables (``scan``), whose angle and weight columns repeat most
+    of their values: each distinct value of the whole table is formatted
+    once.  Values are told apart by their bits, so -0.0 and 0.0 (and every
+    NaN) keep their own repr, and the lines are the same as formatting
+    every value, which ``_sweep_rows`` does.
     """
     table = np.array(columns, dtype=float).T
     bits, cells = np.unique(table.view(np.int64).ravel(), return_inverse=True)
@@ -165,11 +170,20 @@ def _csv_rows(*columns):
     return map(",".join, texts[cells.reshape(table.shape)].tolist())
 
 
-def _csv_text(header, columns, manifest_name: str | None) -> str:
-    """A CSV file's text: an optional ``# manifest:`` line, the header, one line per row."""
+def _sweep_rows(*columns):
+    """``_csv_rows``'s lines, each value formatted where it stands.
+
+    For 1-D sweeps (``hbt``, one row per baseline), whose values rarely
+    repeat, so finding the repeats would cost more than it saves.
+    """
+    return map(",".join, zip(*(map(repr, np.asarray(c, dtype=float).tolist()) for c in columns)))
+
+
+def _csv_text(header, rows, manifest_name: str | None) -> str:
+    """A CSV file's text: an optional ``# manifest:`` line, the header, then ``rows``."""
     lines = [f"# manifest: {manifest_name}"] if manifest_name else []
     lines.append(",".join(header))
-    lines += _csv_rows(*columns)
+    lines += rows
     return "\n".join(lines) + "\n"
 
 
@@ -183,7 +197,7 @@ def _scan_columns(scan: ScanResult):
 
 
 def write_scan_csv(path: Path, scan: ScanResult) -> None:
-    _write_fresh([(path, _csv_text(SCAN_CSV_COLUMNS, _scan_columns(scan), None))])
+    _write_fresh([(path, _csv_text(SCAN_CSV_COLUMNS, _csv_rows(*_scan_columns(scan)), None))])
 
 
 # np.lib._datasource opens a name with one of these exact suffixes through a
@@ -360,7 +374,7 @@ def cmd_scan(args, argv) -> int:
     else:
         scan = angular_scan(loaded.experiment, grid_a, grid_b)
 
-    render = functools.partial(_csv_text, SCAN_CSV_COLUMNS, _scan_columns(scan))
+    render = functools.partial(_csv_text, SCAN_CSV_COLUMNS, _csv_rows(*_scan_columns(scan)))
     _publish(args, argv, render, seed if args.n else None)
     print(f"wrote {len(scan)} rows to {Path(args.out)}")
     return EXIT_OK
@@ -395,8 +409,8 @@ def cmd_hbt(args, argv) -> int:
     normalization = loaded.experiment.propagator_normalization
     fringe = hbt_scan(loaded.experiment.geometry, lengths, *phases.T, normalization)
 
-    columns = (lengths, fringe.total, fringe.interference)
-    render = functools.partial(_csv_text, HBT_CSV_COLUMNS, columns)
+    rows = _sweep_rows(lengths, fringe.total, fringe.interference)
+    render = functools.partial(_csv_text, HBT_CSV_COLUMNS, rows)
     _publish(args, argv, render, seed if args.random_phases else None)
     print(f"wrote {len(lengths)} rows to {Path(args.out)}")
     return EXIT_OK

@@ -198,16 +198,21 @@ def hbt_scan(
     intensity overflows.
     """
     g = geometry
-    # a quarter of B - A cannot overflow, and scaling by 2^-2 keeps the direction's bits
-    a4, b4 = g.detector_a * 0.25, g.detector_b * 0.25
-    span = _distance(b4, a4)
+    # B - A (from halved positions where it overflows, which loses no bit the direction
+    # keeps), scaled by the power of two that puts its larger coordinate in [0.5, 1):
+    # exact, so a subnormal separation points as a unit one does
+    with np.errstate(over="ignore"):
+        diff = g.detector_b - g.detector_a
+    if not np.isfinite(diff).all():
+        diff = g.detector_b * 0.5 - g.detector_a * 0.5
+    diff = np.ldexp(diff, -math.frexp(float(np.abs(diff).max()))[1])
+    span = _distance(diff, 0.0)
     if span <= 0.0:
         raise ConfigError("geometry.detector_a, geometry.detector_b: must differ, "
                           "the hbt baseline runs from detector A towards detector B")
     # a baseline past float range puts B at inf, refused as a leg below
     with np.errstate(over="ignore"):
-        step = (b4 - a4) / span
-        detector_b = g.detector_a + np.multiply.outer(baselines, step)
+        detector_b = g.detector_a + np.multiply.outer(baselines, diff / span)
     b_legs = _distance(np.array((g.source1, g.source2))[:, None], detector_b)
     _check_legs(g.wavenumber, b_legs, ("1->B", "2->B"))
     lengths = g.path_lengths()[:2] + tuple(b_legs)

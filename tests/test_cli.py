@@ -762,6 +762,35 @@ def test_hbt_detectors_farther_apart_than_float_range_scan_like_scaled_down_ones
     assert [row.split(",")[1:] for row in huge] == [row.split(",")[1:] for row in small]
 
 
+TINY = 2.0**-1074
+
+
+@pytest.mark.parametrize("first, second", [
+    # B - A a subnormal apart points as B - A a unit apart does
+    ({"geometry.detector_b": [TINY, 0.0, 0.0]}, {"geometry.detector_b": [1.0, 0.0, 0.0]}),
+    ({"geometry.detector_b": [3 * TINY, 4 * TINY, 0.0]}, {"geometry.detector_b": [3.0, 4.0, 0.0]}),
+    # a separation far below the detectors' coordinates: moving the whole geometry
+    # by 1e308 along x changes no difference of positions
+    ({"geometry.detector_a": [1e308, 0.0, 0.0], "geometry.detector_b": [1e308, 1.1, 0.7],
+      "geometry.source1": [1e308, 5.0, 1.0], "geometry.source2": [1e308, -5.0, 1.0]},
+     {"geometry.detector_b": [0.0, 1.1, 0.7],
+      "geometry.source1": [0.0, 5.0, 1.0], "geometry.source2": [0.0, -5.0, 1.0]}),
+], ids=["subnormal", "subnormal-3-4", "offset-1e308"])
+def test_hbt_direction_keeps_its_bits_at_any_detector_separation(tmp_path, first, second):
+    # only the direction of B - A enters the scan, so the rows match bit for bit
+    def fringe(name, updates):
+        path = write_variant(tmp_path, f"{name}.yaml",
+                             **{"geometry.detector_a": [0.0, 0.0, 0.0], **updates})
+        out = tmp_path / f"{name}.csv"
+        argv = ["hbt", "--config", str(path), "--baseline", "0:1:5", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        return out.read_text(encoding="utf-8").splitlines()[2:]
+
+    rows = fringe("first", first)
+    assert len(rows) == 5
+    assert rows == fringe("second", second)
+
+
 # ---------------------------------------------------------------- misc
 
 

@@ -36,7 +36,7 @@ from skybell import (
     source_density,
 )
 from skybell.background import OUTCOME_PAIRS, correlation_tensor
-from skybell.cli import SCAN_CSV_COLUMNS, _csv_rows, read_scan_csv, write_scan_csv
+from skybell.cli import SCAN_CSV_COLUMNS, _csv_rows, _sweep_rows, read_scan_csv, write_scan_csv
 from skybell.config import SCHEMA_VERSION, dump_config, parse_config
 from skybell.scenarios import ScanResult
 
@@ -331,13 +331,13 @@ CSV_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, 
 
 @st.composite
 def csv_columns(draw):
-    """Columns of one length with many repeats, edge values and one single-valued column."""
+    """1-7 columns of one length with many repeats, edge values and one single-valued column."""
     rows = draw(st.integers(1, 40))
     value = st.one_of(st.sampled_from(CSV_EDGE_VALUES), st.floats())
     pool = draw(st.lists(value, min_size=1, max_size=6))
     repeated = st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)
     any_value = st.lists(value, min_size=rows, max_size=rows)
-    columns = draw(st.lists(st.one_of(repeated, any_value), min_size=1, max_size=4))
+    columns = draw(st.lists(st.one_of(repeated, any_value), min_size=0, max_size=6))
     columns.insert(draw(st.integers(0, len(columns))), [draw(value)] * rows)
     return [np.array(column, dtype=float) for column in columns]
 
@@ -345,8 +345,10 @@ def csv_columns(draw):
 @PROPERTY_SETTINGS
 @given(columns=csv_columns())
 def test_csv_rows_equal_one_repr_per_value(columns):
-    expected = [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    # the grid renderer (scan) and the sweep renderer (hbt) both write every value's repr
+    expected = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
     assert list(_csv_rows(*columns)) == expected
+    assert list(_sweep_rows(*columns)) == expected
 
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7e308, -1.7e308,
