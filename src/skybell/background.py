@@ -90,7 +90,8 @@ class BackgroundSpec:
     each source, in either detector assignment; the two entries are
     physically equivalent and share the rate), while w11 and w22 weight
     pairs drawn twice from the same source.  Weights must be nonnegative
-    with a positive sum and are renormalized to sum one.  Weights that
+    with a positive sum and are renormalized to sum one; a refusal names
+    its field (``alpha1``, ``weights.w12``, ``weights``).  Weights that
     already sum to one within 4 eps are kept as given, so renormalizing is
     idempotent and a spec rebuilt from its own weights is bitwise equal.
     """
@@ -108,18 +109,20 @@ class BackgroundSpec:
         for name in ("alpha1", "alpha2"):
             v = float(getattr(self, name))
             if not (v >= 0.0 and math.isfinite(2.0 + 2.0 * v)):
-                raise ValueError(f"{name} must be >= 0 with 2 + 2 {name} finite, got {v!r}")
+                raise ValueError(f"{name}: must be >= 0 with 2 + 2 {name} finite, got {v!r}")
             object.__setattr__(self, name, v)
         weights = []
         for name in ("w12", "w21", "w11", "w22"):
             v = float(getattr(self, name))
             if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"weight {name} must be finite and >= 0, got {v!r}")
+                raise ValueError(f"weights.{name}: must be finite and >= 0, got {v!r}")
             weights.append(v)
         total = sum(weights)
         # an infinite sum would divide every weight down to zero
         if not 0.0 < total < math.inf:
-            raise ValueError(f"pairing weights must have a positive, finite sum, got {total!r}")
+            raise ValueError(
+                f"weights: pairing weights must have a positive, finite sum, got {total!r}"
+            )
         # weights that sum to one up to rounding are kept, which makes the
         # renormalization idempotent: dividing again would move them by an ulp
         if abs(total - 1.0) <= _WEIGHT_SUM_TOL:

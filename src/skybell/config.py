@@ -1,9 +1,11 @@
 """YAML run configuration: parsing, validation, and degree conversion.
 
 Config files are human-written, so angles are given in degrees and every
-validation failure names the offending field.  A key that ``dump_config``
-does not write is refused, so a misspelt one cannot fall back to a
-default.  Internally everything is radians.
+validation failure names the offending field: config checks each value's
+YAML type and finiteness, the type a section builds alone refuses a value
+out of range, and config puts the section's name before its message.  A
+key that ``dump_config`` does not write is refused, so a misspelt one
+cannot fall back to a default.  Internally everything is radians.
 """
 
 from __future__ import annotations
@@ -111,21 +113,6 @@ def _number(section: dict, path: str, key: str) -> float:
     return _float(section[key], label)
 
 
-def _alpha(section: dict, key: str) -> float:
-    """A source's polarization excess; its density divides by 2 + 2 alpha."""
-    alpha = _number(section, "background", key)
-    if alpha < 0.0 or not math.isfinite(2.0 + 2.0 * alpha):
-        raise ConfigError(f"background.{key}: must be >= 0 with 2 + 2 {key} finite, got {alpha!r}")
-    return alpha
-
-
-def _weight(section: dict, key: str) -> float:
-    weight = _number(section, "background.weights", key)
-    if weight < 0.0:
-        raise ConfigError(f"background.weights.{key}: must be >= 0, got {weight!r}")
-    return weight
-
-
 def _axis(section: dict, path: str, key: str) -> PolarizerAxis:
     return PolarizerAxis(math.radians(_number(section, path, key)))
 
@@ -169,14 +156,13 @@ def parse_config(doc: dict) -> LoadedConfig:
         background = BackgroundSpec(
             axis1=_axis(bg, "background", "axis1_deg"),
             axis2=_axis(bg, "background", "axis2_deg"),
-            alpha1=_alpha(bg, "alpha1"),
-            alpha2=_alpha(bg, "alpha2"),
+            alpha1=_number(bg, "background", "alpha1"),
+            alpha2=_number(bg, "background", "alpha2"),
             # a weight left out keeps BackgroundSpec's default
-            **{key: _weight(weights, key) for key in weights},
+            **{key: _number(weights, "background.weights", key) for key in weights},
         )
     except ValueError as exc:
-        # each alpha and weight is checked above; what is left is the weights' sum
-        raise ConfigError(f"background.weights: {exc}") from exc
+        raise ConfigError(f"background.{exc}") from exc
 
     prop = _section(doc, "propagation", required=False)
     normalization = prop.get("normalization", ExperimentConfig.propagator_normalization)

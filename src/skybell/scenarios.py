@@ -243,11 +243,11 @@ class CorrelationModel:
     w_signal = f w_sig and w_background = (1 - f) w are the rate weights
     of the mixture.  ``k_signal`` = diag(1, s, s), s = +-1 by bell_kind,
     is the entangled channel; ``k`` is the background's tensor from
-    :func:`skybell.background.correlation_tensor`, or diag(1, 0, 0) when
-    its weight is zero: E_background then reads 0 with no 0/0, and its
-    uniform outcome distribution draws nothing, as its channel gets no
-    trials.  Both are read-only; each config builds one model on first
-    use (``ExperimentConfig.model``), independent of the settings.
+    :func:`skybell.background.correlation_tensor` at every f, or
+    diag(1, 0, 0) when the background has no rate (K[0, 0] <= 0):
+    E_background then reads 0 with no 0/0, and the channel, given no
+    trials, draws nothing.  Both are read-only and built once per config
+    on first use (``ExperimentConfig.model``), independent of settings.
     """
 
     w_signal: float
@@ -311,7 +311,7 @@ def _build_model(cfg: ExperimentConfig) -> CorrelationModel:
             "total coincidence weight is zero: no entangled rate and no "
             "background rate at these settings"
         )
-    if w_background == 0.0:
+    if not k[0, 0] > 0.0:
         k = np.diag([1.0, 0.0, 0.0])
     k_signal = np.diag([1.0, 1.0, 1.0] if cfg.bell_kind == 1 else [1.0, -1.0, -1.0])
     for tensor in (k_signal, k):

@@ -847,6 +847,33 @@ def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="correlation_tensor's -1e-12 rate tolerance is absolute, not scaled to the legs",
+)
+def test_chsh_runs_at_a_dark_fringe_of_strong_spherical_legs(tmp_path, capsys):
+    # legs of 1-2 cm with spherical normalization make each route's rate
+    # ~1e8, and two fully polarized sources on one axis put the background
+    # at a dark fringe: its rate is zero up to the rounding of those terms
+    geometry = {
+        "source1": [0.01, 0.0, 0.0],
+        "source2": [0.00044143440670920537, -0.019995127798155564, 0.0],
+        "detector_a": [0.0, 0.0, 0.0],
+        "detector_b": [-0.0011664436060690037, 0.0031578625976682625, 0.0],
+        "wavenumber": 158609.26066952478,
+    }
+    path = write_variant(tmp_path, "dark.yaml", scenario="I", geometry=geometry, **{
+        "propagation.normalization": "spherical",
+        "background.alpha1": 1e300,
+        "background.alpha2": 1e300,
+        "background.axis1_deg": 54.575,
+        "background.axis2_deg": 54.575,
+    })
+    assert run(["chsh", "--config", str(path)]) == EXIT_OK
+    s = float(re.fullmatch(r"S = (\S+) \(analytic\)", capsys.readouterr().out.strip()).group(1))
+    assert math.isfinite(s)
+
+
 def readme_with(path, field, text):
     """Write the README example to ``path`` with the value of ``field`` spelt as ``text``."""
     key = field.rsplit(".", 1)[-1]

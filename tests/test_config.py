@@ -7,7 +7,7 @@ import yaml
 
 from helpers import flatten, readme_config, readme_example
 
-from skybell import ConfigError, config
+from skybell import BackgroundSpec, ConfigError, PolarizerAxis, config
 from skybell.config import (
     SCHEMA_VERSION,
     dump_config,
@@ -228,6 +228,39 @@ def test_invalid_values_are_rejected_with_field_names():
 
     with pytest.raises(ConfigError):
         parse_config(["not", "a", "mapping"])
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("alpha1", {"alpha1": -2.0}),
+        # 2 + 2 alpha, the source density's denominator, overflows
+        ("alpha2", {"alpha2": 1e308}),
+        ("weights.w12", {"weights": {"w12": -1.0}}),
+        ("weights", {"weights": {"w12": 0.0, "w21": 0.0}}),
+        # the sum of the weights overflows
+        ("weights", {"weights": {"w12": 1e308, "w21": 1e308}}),
+    ],
+    ids=["alpha-negative", "alpha-1e308", "weight-negative", "weights-zero", "weights-overflow"],
+)
+def test_background_values_are_refused_by_background_spec_alone(field, values):
+    doc = base_doc()
+    bg = doc["background"]
+    for key, value in values.items():
+        bg[key] = {**bg[key], **value} if key == "weights" else value
+    with pytest.raises(ValueError) as refusal:
+        BackgroundSpec(
+            axis1=PolarizerAxis(math.radians(bg["axis1_deg"])),
+            axis2=PolarizerAxis(math.radians(bg["axis2_deg"])),
+            alpha1=bg["alpha1"],
+            alpha2=bg["alpha2"],
+            **bg["weights"],
+        )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    # config only names the section; the message is the type's own
+    assert str(exc.value) == f"background.{refusal.value}"
+    assert str(exc.value).startswith(f"background.{field}: ")
 
 
 def test_dump_config_writes_exactly_the_listed_keys():

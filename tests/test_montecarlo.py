@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -162,7 +163,12 @@ def test_a_background_of_zero_weight_reads_and_draws_as_pure_signal(cfg):
     grid = np.linspace(0.0, math.pi, 6, endpoint=False)
     scan = angular_scan(cfg, grid, grid)
     # warnings are errors here, so no 0/0 went into these columns
-    assert np.all(scan.e_background == 0.0)
+    if cfg.entangled_fraction == 1.0:
+        # the background has a rate, so it keeps its correlator at f = 1
+        half = dataclasses.replace(cfg, entangled_fraction=0.5)
+        assert np.array_equal(scan.e_background, angular_scan(half, grid, grid).e_background)
+    else:
+        assert np.all(scan.e_background == 0.0)
     assert np.all(np.isfinite(scan.e))
     assert np.max(np.abs(scan.e - scan.e_signal)) <= 1e-15
     sampled = sample_scan(cfg, grid, grid, n_per_point=5_000, seed=3)
