@@ -22,9 +22,13 @@ coefficients from (1, cos 2t, sin 2t), so contracting rho_eff with that
 basis on each side leaves one real 3x3 tensor K per config: a total rate
 w, marginal 2-vectors m_A and m_B and a 2x2 correlation tensor T.
 :func:`correlation_tensor` builds K in closed form from the sources'
-Stokes vectors, without rho_eff.  With u = (cos 2t_A, sin 2t_A) and
-v = (cos 2t_B, sin 2t_B), the (oa, ob) outcome pair is detected at the
-rate
+Stokes vectors, without rho_eff.  It splits each pairing by the photon
+swap: the routes act as a + b on the swap-symmetric (triplet) part of
+rho_i x rho_j and as a - b on its singlet part (Braunstein & Mann, PRA
+51, R1727 (1995)).  Each part adds a rate >= 0, so the total cannot go
+negative at a dark fringe, where the rate formula's direct and exchange
+terms cancel.  With u = (cos 2t_A, sin 2t_A) and v = (cos 2t_B, sin 2t_B),
+the (oa, ob) outcome pair is detected at the rate
 
     p(oa, ob) = w (1 + oa m_A.u + ob m_B.v + oa ob u^T T v) / 4,
 
@@ -46,7 +50,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
 from .polarization import (
     PolarizerAxis,
     Projector,
@@ -60,25 +63,14 @@ __all__ = [
     "interference_trace", "polarizer_trace",
 ]
 
-_NEGATIVE_TOL = -1e-12
-
 #: The four +-1 outcome pairs, in fixed (A, B) order.
 OUTCOME_PAIRS = ((+1, +1), (+1, -1), (-1, +1), (-1, -1))
 
 #: Four weights divided by their sum add up to one within about 2 eps.
 _WEIGHT_SUM_TOL = 4.0 * np.finfo(float).eps
 
-#: I, sigma_z, sigma_x: the polarizer observable at angle t is
-#: cos 2t sigma_z + sin 2t sigma_x.
-_BASIS = np.array(
-    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]
-)
-
-#: G[m, a, n, b] = Tr[B_m B_a B_n B_b] / 4 as a map from X[a, b] to K[m, n]:
-#: with X = s_i s_j^T it gives Tr[B_m rho_i B_n rho_j], the exchange term.
-_EXCHANGE = (
-    np.einsum("mij,ajk,nkl,bli->mnab", _BASIS, _BASIS, _BASIS, _BASIS) / 4.0
-).reshape(9, 9)
+#: Tr[(B_m x B_n) psi-] over the basis B = (I, sigma_z, sigma_x): the singlet's tensor.
+_SINGLET = np.diag([1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -174,43 +166,43 @@ def interference_trace(
     return complex(np.trace(pa.m @ rho1.rho @ pb.m @ rho2.rho))
 
 
-def _stokes(axis: PolarizerAxis, alpha: float) -> tuple[float, float, float]:
-    """Tr(B_m rho) of a source: s = (1, p cos 2n, p sin 2n) with p = alpha / (1 + alpha)."""
-    p = alpha / (1.0 + alpha)
-    return (1.0, p * math.cos(2.0 * axis.angle), p * math.sin(2.0 * axis.angle))
-
-
 def correlation_tensor(spec: BackgroundSpec, amps: PathAmplitudeSet) -> np.ndarray:
     """The background's real 3x3 tensor K in the polarizer basis (I, sigma_z, sigma_x).
 
     K[m, n] = Tr[(B_m x B_n) rho_eff] with rho_eff from
-    :func:`effective_density_matrix`, in closed form over the pairings:
+    :func:`effective_density_matrix`, summed over each pairing's triplet
+    and singlet parts, on which its routes (a, b) = ``amps.routes(i, j)``
+    act as a + b and a - b:
 
-        K = sum w [ |a|^2 s_i s_j^T + |b|^2 s_j s_i^T + 2 Re(a conj b) G(s_i, s_j) ],
+        K = sum w [ |a+b|^2 (P - Z) + |a-b|^2 Z + Re((a+b) conj(a-b)) Q ],
 
-    with each pairing's routes (a, b) = ``amps.routes(i, j)``, the sources'
-    Stokes vectors s and G(s_i, s_j)[m, n] = Tr[B_m rho_i B_n rho_j]
-    (``_EXCHANGE``).  K[0, 0] is the total rate w, K[1:, 0] and K[0, 1:]
-    are w m_A and w m_B, K[1:, 1:] is w T.  Raises ConsistencyError on a
-    total rate below -1e-12.
+    with P and Q the symmetric and antisymmetric parts of s_i s_j^T over
+    the Stokes vectors s = (1, p cos 2n, p sin 2n), p = alpha / (1 + alpha),
+    and Z = (1 - p_i p_j cos 2(n_i - n_j)) / 4 diag(1, -1, -1) the singlet
+    block; the rate formula's exchange trace Tr[B_m rho_i B_n rho_j] is
+    P - 2Z.  K[0, 0] is the total rate w, K[1:, 0] and K[0, 1:] are w m_A
+    and w m_B, K[1:, 1:] is w T.  A pairing adds
+    |a+b|^2 (1 - Z00) + |a-b|^2 Z00 >= 0 to K[0, 0], as 0 <= Z00 <= 1/2
+    and Q00 = 0.  Z00 is summed without cancellation, so it keeps its
+    precision for nearly pure sources on nearly one axis, where K's terms
+    must balance.  OverflowError if a route rate is out of range.
     """
-    # coefficients of s_a s_b^T in the direct and the exchange terms
-    direct = [[0.0, 0.0], [0.0, 0.0]]
-    exchange = [[0.0, 0.0], [0.0, 0.0]]
+    alphas, n = (spec.alpha1, spec.alpha2), (spec.axis1.angle, spec.axis2.angle)
+    p, q = [x / (1.0 + x) for x in alphas], [1.0 / (1.0 + x) for x in alphas]
+    s = [np.array([1.0, pk * math.cos(2.0 * nk), pk * math.sin(2.0 * nk)]) for pk, nk in zip(p, n)]
+    k = np.zeros((3, 3))
     for w, i, j in spec.pairings():
         if w == 0.0:
             continue
         a, b = amps.routes(i, j)
-        direct[i][j] += w * abs(a) ** 2
-        direct[j][i] += w * abs(b) ** 2
-        exchange[i][j] += 2.0 * w * (a * b.conjugate()).real
-    s = np.array([_stokes(spec.axis1, spec.alpha1), _stokes(spec.axis2, spec.alpha2)])
-    k = s.T @ np.array(direct) @ s
-    k += (_EXCHANGE @ (s.T @ np.array(exchange) @ s).reshape(9)).reshape(3, 3)
-    if k[0, 0] < _NEGATIVE_TOL:
-        raise ConsistencyError(
-            f"total coincidence rate {k[0, 0]:.3e} is negative beyond tolerance"
-        )
+        triplet, singlet = abs(a + b) ** 2, abs(a - b) ** 2
+        if not math.isfinite(triplet + singlet):  # inf would meet Q's zeros as inf * 0
+            raise OverflowError("coincidence rate is out of floating-point range")
+        ss = s[i][:, None] * s[j]
+        # 1 - p_i p_j cos 2(n_i - n_j) as terms >= 0, with q = 1 - p = 1 / (1 + alpha)
+        z = (q[i] + p[i] * q[j] + 2.0 * p[i] * p[j] * math.sin(n[i] - n[j]) ** 2) / 4.0 * _SINGLET
+        cross = ((a + b) * (a - b).conjugate()).real
+        k += w * (triplet * ((ss + ss.T) / 2.0 - z) + singlet * z + cross * (ss - ss.T) / 2.0)
     return k
 
 

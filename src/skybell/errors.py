@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-__all__ = ["ConfigError", "ConsistencyError", "DegenerateDesignError", "SkybellError"]
+__all__ = ["ConfigError", "DegenerateDesignError", "SkybellError"]
 
 
 class SkybellError(Exception):
@@ -9,14 +9,6 @@ class SkybellError(Exception):
 
 class ConfigError(SkybellError):
     """A config file or CLI argument is malformed; the message names the field."""
-
-
-class ConsistencyError(SkybellError):
-    """An internal identity that must hold numerically was violated.
-
-    Raised when the background's total coincidence rate, nonnegative by
-    construction, comes out below -1e-12.
-    """
 
 
 class DegenerateDesignError(SkybellError):

@@ -300,7 +300,7 @@ def _build_model(cfg: ExperimentConfig) -> CorrelationModel:
     try:
         k = correlation_tensor(cfg.background, amps)
         w_signal = f * entangled_pair_weight(amps)
-        w_background = (1.0 - f) * max(float(k[0, 0]), 0.0)
+        w_background = (1.0 - f) * float(k[0, 0])
         total = w_signal + w_background
     except OverflowError:  # Python's float power raises where numpy gives inf
         total = math.inf

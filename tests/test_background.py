@@ -272,6 +272,16 @@ def test_correlator_needs_a_nonzero_total_rate():
         background_correlator(spec, dead, PolarizerAxis(0.0), PolarizerAxis(0.0))
 
 
+@pytest.mark.parametrize("leg", [1e80, 1e154], ids=["square", "sum"])
+def test_a_route_rate_out_of_range_raises_overflow(leg):
+    # legs of 1e80 make routes of 1e160, whose square overflows; legs of
+    # 1e154 make finite routes of 1e308, but a + b is infinite and would meet
+    # the zeros of Q (two sources on one axis) as inf * 0
+    amps = PathAmplitudeSet(d1a=leg, d2a=leg, d1b=leg, d2b=leg)
+    with pytest.raises(OverflowError):
+        correlation_tensor(make_spec(), amps)
+
+
 def test_correlator_stays_in_bounds():
     rng = np.random.default_rng(49)
     for _ in range(100):

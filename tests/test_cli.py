@@ -847,10 +847,6 @@ def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="correlation_tensor's -1e-12 rate tolerance is absolute, not scaled to the legs",
-)
 def test_chsh_runs_at_a_dark_fringe_of_strong_spherical_legs(tmp_path, capsys):
     # legs of 1-2 cm with spherical normalization make each route's rate
     # ~1e8, and two fully polarized sources on one axis put the background
@@ -871,7 +867,21 @@ def test_chsh_runs_at_a_dark_fringe_of_strong_spherical_legs(tmp_path, capsys):
     })
     assert run(["chsh", "--config", str(path)]) == EXIT_OK
     s = float(re.fullmatch(r"S = (\S+) \(analytic\)", capsys.readouterr().out.strip()).group(1))
-    assert math.isfinite(s)
+    # both channels see the same route rate |a + b|^2, so they mix as f and
+    # 1 - f, and the pure background is the product of the two marginals
+    f, n = 0.3, math.radians(54.575)
+
+    def e(ta, tb):
+        ta, tb = math.radians(ta), math.radians(tb)
+        return f * math.cos(2 * (ta - tb)) + (1 - f) * math.cos(2 * (ta - n)) * math.cos(2 * (tb - n))
+
+    assert abs(s - (e(0, 22.5) + e(0, 157.5) + e(45, 22.5) - e(45, 157.5))) <= 1e-6
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--config", str(path), "--grid-a", "0:165:12", "--grid-b", "0:165:12"]
+    assert run(argv + ["--out", str(out)]) == EXIT_OK
+    scan = read_scan_csv(out)
+    for column in (scan.e, scan.e_signal, scan.e_background):
+        assert np.all(np.abs(column) <= 1.0)
 
 
 def readme_with(path, field, text):

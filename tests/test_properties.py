@@ -1,6 +1,7 @@
 """Invariants of the correlation-tensor model over random physical configs,
 and exact round trips of the scan CSV and config YAML formats."""
 
+import cmath
 import math
 import os
 import tempfile
@@ -18,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import bits, flatten, make_config, outcome_rates, random_geometry
 
 from skybell import (
+    BackgroundSpec,
     ChshConfiguration,
     ConfigError,
     Geometry,
@@ -215,6 +217,48 @@ def test_tensor_is_the_density_matrix_contraction(cfg):
     # the entangled channel's tensor is the same contraction of its Bell state
     expected = contraction(bell_state(cfg.bell_kind).density())
     assert np.max(np.abs(cfg.model.k_signal - expected)) <= 1e-15
+
+
+@st.composite
+def dark_fringes(draw):
+    """A background at or near a dark fringe of its cross pairing, where a + b ~ 0.
+
+    Legs of 1e2-1e4 give route rates |a|^2 of up to 1e16, and strongly
+    polarized sources on one axis, or on two nearly equal ones, leave
+    almost nothing of the singlet part either: the true rate is then many
+    orders of magnitude below the route rates.
+    """
+    def leg():
+        return cmath.rect(draw(st.floats(1e2, 1e4)), draw(st.floats(-math.pi, math.pi)))
+
+    d1a, d2a, d1b = leg(), leg(), leg()
+    eps = draw(st.sampled_from((0.0, 1e-15, 1e-12, 1e-9)))
+    amps = PathAmplitudeSet(d1a=d1a, d2a=d2a, d1b=d1b, d2b=-d2a * d1b / d1a * (1.0 + eps))
+    axis1 = draw(angles)
+    axis2 = draw(st.one_of(
+        st.just(axis1),
+        st.floats(-10.0, -2.0).map(lambda e: axis1 + 10.0 ** e),
+        angles,
+    ))
+    alpha = st.one_of(st.floats(1e16, 1e300), st.floats(0.0, 1e300))
+    same_source = st.one_of(st.just(0.0), unit)
+    spec = BackgroundSpec(
+        PolarizerAxis(axis1), PolarizerAxis(axis2), draw(alpha), draw(alpha),
+        w12=draw(st.floats(0.01, 1.0)), w21=draw(st.floats(0.01, 1.0)),
+        w11=draw(same_source), w22=draw(same_source),
+    )
+    return spec, amps
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(fringe=dark_fringes(), ta=angles, tb=angles)
+def test_background_at_a_dark_fringe_is_a_rate_and_a_correlator(fringe, ta, tb):
+    k = correlation_tensor(*fringe)
+    assert k[0, 0] >= 0.0
+    if k[0, 0] > 0.0:
+        u, v = (np.array([math.cos(2.0 * t), math.sin(2.0 * t)]) for t in (ta, tb))
+        assert abs(u @ k[1:, 1:] @ v) <= (1.0 + 1e-9) * k[0, 0]
+        assert max(abs(u @ k[1:, 0]), abs(k[0, 1:] @ v)) <= (1.0 + 1e-9) * k[0, 0]
 
 
 SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
