@@ -25,21 +25,48 @@ from .scenarios import ExperimentConfig
 
 SCHEMA_VERSION = 1
 
-#: Exponent numbers such as ``1e3``, ``3e-1`` or ``.5e1``; YAML 1.1 alone
+#: Exponent numbers such as ``1e3``, ``3e-1``, ``.5e1`` or ``1.e3``; YAML 1.1 alone
 #: reads them as strings unless the mantissa has a dot and the exponent a sign.
-_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
 
 
-def _with_exponent_floats(base: type) -> type:
-    """A subclass of the loader ``base`` that reads ``_EXPONENT_FLOAT`` as a float."""
-    loader = type(f"Exponent{base.__name__}", (base,), {})
+class _UniqueKeys:
+    """Loader mixin that refuses a key repeated in one mapping.
+
+    A clean mapping has as many keys as entries, so only one that does not
+    is searched.  Merge keys (``<<``) are not entries, and a key one brings
+    in may be overridden, as YAML allows.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        pairs = list(node.value)  # flattening drops the merge keys from node.value
+        mapping = super().construct_mapping(node, deep=deep)
+        if len(mapping) != len(pairs):
+            seen = set()
+            for key_node, _ in pairs:
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found repeated key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return mapping
+
+
+def _config_loader(base: type) -> type:
+    """A subclass of the loader ``base`` that reads ``_EXPONENT_FLOAT`` as a
+    float and refuses a key repeated in one mapping."""
+    loader = type(f"Config{base.__name__}", (_UniqueKeys, base), {})
     loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
     return loader
 
 
 #: libyaml's parser when PyYAML was built with it, else the pure-Python one;
 #: both use the same safe resolver and constructor, so documents are equal.
-_LOADER = _with_exponent_floats(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+_LOADER = _config_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 #: The keys of the root ("") and of each section, as ``dump_config`` writes them.
 _KEYS = {

@@ -4,9 +4,8 @@ Every draw comes from a Philox stream keyed by the seed and one 64-bit
 word.  A setting pair sampled with setting index i reads the stream of
 (seed, i << 32), so each CHSH term has its own stream; a sampled scan
 draws its whole grid from the one stream of (seed, scan word).  Philox
-is counter-based, so a sampled CHSH call builds one bit generator and
-re-keys it per setting to the state a new one keyed (seed, i << 32)
-starts in: the streams are unchanged, and nothing outlives the call.
+is counter-based, so each stream is a new bit generator built from its
+key, and nothing is kept between streams.
 A trial first picks the entangled or background channel with probability
 f w_sig / (f w_sig + (1 - f) w_bg), then draws one of the four (+-, +-)
 outcome pairs from that channel's distribution, as read by the config's
@@ -52,30 +51,13 @@ _SCAN_WORD = 0x7363616E
 _PRODUCTS = np.array([oa * ob for oa, ob in OUTCOME_PAIRS])
 
 
-def _stream(seed: int, word: int, philox: np.random.Philox | None = None) -> np.random.Generator:
-    """A new Generator on the Philox stream keyed by (seed, word).
-
-    ``philox`` (a new one if None) is re-keyed to the state a new
-    ``Philox(key=(seed, word))`` starts in: counter 0, key (seed, word), an
-    empty buffer and no spare 32-bit word.  A sampled call re-keys one bit
-    generator per setting this way, each setting's stream unchanged: a
-    re-key costs about a tenth of building a Philox.
-    """
+def _stream(seed: int, word: int) -> np.random.Generator:
+    """A new Generator on the Philox stream keyed by (seed, word)."""
     if not 0 <= seed <= _MAX_UINT64:
         raise ValueError(f"seed must be a uint64, got {seed!r}")
     if not 0 <= word <= _MAX_UINT64:
         raise ValueError(f"stream word must be a uint64, got {word!r}")
-    if philox is None:
-        philox = np.random.Philox(0)  # its key is replaced below
-    philox.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [seed, word]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return np.random.Generator(philox)
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
 
 
 def random_phases(seed: int, n: int) -> np.ndarray:
@@ -156,15 +138,11 @@ def _sample(
     n: int,
     seed: int,
     setting_index: int,
-    philox: np.random.Philox | None = None,
 ) -> SampleBatch:
-    """n coincidences from one setting's distributions, on that setting's stream.
-
-    ``philox``, if given, is re-keyed to that stream by :func:`_stream`.
-    """
+    """n coincidences from one setting's distributions, on that setting's stream."""
     if not 0 <= setting_index <= _MAX_UINT32:
         raise ValueError(f"setting index out of range: {setting_index!r}")
-    counts = _draw(dists, n, _stream(seed, setting_index << 32, philox)).tolist()
+    counts = _draw(dists, n, _stream(seed, setting_index << 32)).tolist()
     return SampleBatch(
         *counts,
         settings=(a.angle, b.angle),
@@ -199,17 +177,12 @@ def estimate_chsh(
     Term i of :meth:`ChshConfiguration.terms` is sampled with setting
     index i of the same seed, as :func:`sample_coincidences` would.  The
     distributions of all four terms come from one evaluation over the
-    terms' angles; term i is the diagonal entry (i, i), row 5 i.  One
-    Philox, built here and dropped on return, is re-keyed to each term's
-    stream.
+    terms' angles; term i is the diagonal entry (i, i), row 5 i.
     """
     terms = chsh.terms()
     grid = cfg.model.distributions([a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms])
-    philox = np.random.Philox(0)  # re-keyed for each term
     estimates = [
-        estimate_correlator(
-            _sample(_row(grid, i * (len(terms) + 1)), a, b, n_per_setting, seed, i, philox)
-        )
+        estimate_correlator(_sample(_row(grid, i * (len(terms) + 1)), a, b, n_per_setting, seed, i))
         for i, (a, b, _) in enumerate(terms)
     ]
     s_hat = sum(sign * est.e_hat for (_, _, sign), est in zip(terms, estimates))

@@ -929,6 +929,30 @@ def test_misspelt_config_keys_exit_two(tmp_path, capsys, field, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("rng:\n", "scenario: I\nrng:\n", "scenario"),
+        ("  alpha2: 1.0\n", "  alpha2: 1.0\n  alpha1: 50.0\n", "alpha1"),
+        ("w22: 0.0}", "w22: 0.0, w21: 0.0}", "w21"),
+    ],
+    ids=["root", "block-section", "flow-weights"],
+)
+def test_a_repeated_config_key_exits_two(tmp_path, capsys, old, new, key):
+    # YAML alone keeps the last value: alpha1: 50.0 would move the analytic S
+    text = readme_example()
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    line = text[: text.rindex(f"{key}:")].count("\n") + 1
+    path = tmp_path / "repeat.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"found repeated key '{key}'" in captured.err
+    assert f"line {line}," in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", SUBCOMMANDS)
 def test_failed_output_write_leaves_no_manifest(config_path, scan_csv, tmp_path, argv):
     out = tmp_path / "taken"

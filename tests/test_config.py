@@ -46,6 +46,9 @@ OTHER_VALUES = {
     "rng.seed": 11,
 }
 
+#: The loaders config may build on; CSafeLoader exists only when PyYAML has libyaml.
+LOADER_BASES = [getattr(yaml, n) for n in ("CSafeLoader", "SafeLoader") if hasattr(yaml, n)]
+
 
 def test_default_config_values():
     loaded = readme_config()
@@ -96,14 +99,32 @@ def test_libyaml_and_python_loaders_agree(text):
 
 
 def test_exponent_floats_extend_both_loaders_alike():
-    text = "a: 1e3\nb: '1e3'\nc: -2E5\nd: .5e1\ne: 3e-1\nf: 1.0e3\n"
-    expected = {"a": 1000.0, "b": "1e3", "c": -200000.0, "d": 5.0, "e": 0.3, "f": 1000.0}
-    # CSafeLoader exists only when PyYAML was built with libyaml
-    bases = [getattr(yaml, name) for name in ("CSafeLoader", "SafeLoader") if hasattr(yaml, name)]
-    for base in bases:
-        assert repr(yaml.load(text, Loader=config._with_exponent_floats(base))) == repr(expected)
+    text = "a: 1e3\nb: '1e3'\nc: -2E5\nd: .5e1\ne: 3e-1\nf: 1.0e3\ng: 1.e3\nh: -2.E3\n"
+    text += "i: '1.e3'\n"
+    expected = {"a": 1000.0, "b": "1e3", "c": -200000.0, "d": 5.0, "e": 0.3, "f": 1000.0,
+                "g": 1000.0, "h": -2000.0, "i": "1.e3"}
+    for base in LOADER_BASES:
+        assert repr(yaml.load(text, Loader=config._config_loader(base))) == repr(expected)
         # the base loader keeps YAML 1.1's reading
         assert yaml.load(text, Loader=base)["a"] == "1e3"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("a: 1\nb: 2\na: 3\n", "a"),
+    ("s:\n  x: 1\n  y: 2\n  x: 1\n", "x"),
+    ("w: {p: 1, q: 2, p: 3}\n", "p"),
+])
+def test_both_loaders_refuse_a_repeated_key(text, key):
+    for base in LOADER_BASES:
+        with pytest.raises(yaml.YAMLError, match=f"found repeated key '{key}'"):
+            yaml.load(text, Loader=config._config_loader(base))
+
+
+def test_a_merged_key_may_be_overridden():
+    text = "base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  x: 3\ne: {<<: [{x: 1}, {x: 2}]}\n"
+    expected = {"base": {"x": 1, "y": 2}, "d": {"x": 3, "y": 2}, "e": {"x": 1}}
+    for base in LOADER_BASES:
+        assert yaml.load(text, Loader=config._config_loader(base)) == expected
 
 
 def test_load_config_falls_back_to_the_python_loader(tmp_path, monkeypatch):
@@ -114,7 +135,7 @@ def test_load_config_falls_back_to_the_python_loader(tmp_path, monkeypatch):
     loaded = load_config(path)
     assert loaded.experiment.background.alpha1 == 10.0
     # the loader config builds when PyYAML has no libyaml
-    monkeypatch.setattr(config, "_LOADER", config._with_exponent_floats(yaml.SafeLoader))
+    monkeypatch.setattr(config, "_LOADER", config._config_loader(yaml.SafeLoader))
     assert flatten(load_config(path)) == flatten(loaded)
 
 

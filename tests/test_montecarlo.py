@@ -278,6 +278,23 @@ def test_random_phases_read_setting_zeros_stream_row_by_row():
     assert phases.shape == (50, 2) and np.array_equal(phases, rows)
 
 
+def test_sample_scan_reads_the_scan_words_stream():
+    # the whole grid from a new Philox keyed (seed, scan word): one binomial
+    # channel split over the grid, then one multinomial per channel
+    cfg = make_config(scenario="I", fraction=0.3, alpha1=0.8, axis1=0.3, w11=0.2)
+    grid = np.linspace(0.0, math.pi, 5, endpoint=False)
+    n, seed = 4_000, 17
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, _SCAN_WORD], dtype=np.uint64)))
+    dists = cfg.model.distributions(grid, grid)
+    n_signal = rng.binomial(n, dists.p_signal_channel, size=len(grid) ** 2)
+    counts = rng.multinomial(n_signal, dists.signal) + rng.multinomial(
+        n - n_signal, dists.background
+    )
+    n_pp, n_pm, n_mp, n_mm = counts.T
+    e = (n_pp + n_mm - n_pm - n_mp) / n
+    assert np.array_equal(sample_scan(cfg, grid, grid, n_per_point=n, seed=seed).e, e)
+
+
 def test_chsh_terms_sample_as_single_settings():
     # estimate_chsh draws each term from one batched model evaluation; the
     # reference samples each term alone, so the sums must be equal bit for bit
@@ -301,7 +318,7 @@ def test_chsh_terms_sample_as_single_settings():
     (0, 10**9), ((1 << 64) - 1, 10**9), (3, MAX_SAMPLE_SIZE), ((1 << 64) - 1, MAX_SAMPLE_SIZE),
 ])
 def test_chsh_streams_hold_at_the_key_and_size_limits(seed, n):
-    # one re-keyed Philox per call draws what a new Philox per term draws
+    # each term's stream draws what a Philox newly built from its key draws
     cfg = make_config(scenario="II", fraction=0.4, alpha1=0.8, alpha2=1.7, axis1=0.3)
     chsh = ChshConfiguration.saturating()
     for i, (a, b, _) in enumerate(chsh.terms()):
@@ -317,22 +334,6 @@ def test_back_to_back_chsh_calls_share_no_stream_state():
     alone = {seed: chsh_reference(cfg, chsh, 10**6, seed) for seed in (5, 6)}
     for order in ((5, 6), (6, 5)):
         assert {seed: estimate_chsh(cfg, chsh, 10**6, seed) for seed in order} == alone
-
-
-@pytest.mark.parametrize("word", [0, 3 << 32, _SCAN_WORD, (1 << 64) - 1])
-def test_a_used_philox_is_re_keyed_to_the_state_of_a_new_one(word):
-    philox = np.random.Philox(0)
-    used = np.random.Generator(philox)
-    used.random(3, dtype=np.float32)  # leaves a spare 32-bit word and a part-read buffer
-    assert philox.state["has_uint32"] == 1 and philox.state["buffer_pos"] != 4
-    state = _stream((1 << 64) - 1, word, philox).bit_generator.state
-    new = np.random.Philox(key=np.array([(1 << 64) - 1, word], dtype=np.uint64)).state
-    for field in ("counter", "key"):
-        assert np.array_equal(state["state"][field], new["state"][field])
-    assert np.array_equal(state["buffer"], new["buffer"])
-    assert [state[k] for k in ("buffer_pos", "has_uint32", "uinteger")] == [
-        new[k] for k in ("buffer_pos", "has_uint32", "uinteger")
-    ]
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
