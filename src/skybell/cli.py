@@ -360,7 +360,7 @@ def cmd_chsh(args, argv) -> int:
         }
 
     if args.out:
-        _publish(args, argv, functools.partial(_json_text, report), seed)
+        _publish(args, argv, functools.partial(_json_text, report), seed if args.n else None)
     return EXIT_OK
 
 

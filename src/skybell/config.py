@@ -153,6 +153,15 @@ def _point(section: dict, path: str, key: str) -> np.ndarray:
     return np.array([_float(v, f"{path}.{key}") for v in value])
 
 
+def _built(prefix: str, build, /, **fields):
+    """``build(**fields)``; the type's own refusal (a ValueError) becomes a
+    ConfigError with ``prefix``, the section's name, in front."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def parse_config(doc: dict) -> LoadedConfig:
     """Validate a parsed YAML document and build the typed configuration."""
     if not isinstance(doc, dict):
@@ -169,27 +178,23 @@ def parse_config(doc: dict) -> LoadedConfig:
     fraction = _number(doc, "", "entangled_fraction")
 
     geo = _section(doc, "geometry")
-    try:
-        geometry = Geometry(
-            **{key: _point(geo, "geometry", key) for key in _KEYS["geometry"][:4]},
-            wavenumber=_number(geo, "geometry", "wavenumber"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
+    geometry = _built(
+        "geometry: ", Geometry,
+        **{key: _point(geo, "geometry", key) for key in _KEYS["geometry"][:4]},
+        wavenumber=_number(geo, "geometry", "wavenumber"),
+    )
 
     bg = _section(doc, "background")
     weights = _section(bg, "background.weights", required=False)
-    try:
-        background = BackgroundSpec(
-            axis1=_axis(bg, "background", "axis1_deg"),
-            axis2=_axis(bg, "background", "axis2_deg"),
-            alpha1=_number(bg, "background", "alpha1"),
-            alpha2=_number(bg, "background", "alpha2"),
-            # a weight left out keeps BackgroundSpec's default
-            **{key: _number(weights, "background.weights", key) for key in weights},
-        )
-    except ValueError as exc:
-        raise ConfigError(f"background.{exc}") from exc
+    background = _built(
+        "background.", BackgroundSpec,
+        axis1=_axis(bg, "background", "axis1_deg"),
+        axis2=_axis(bg, "background", "axis2_deg"),
+        alpha1=_number(bg, "background", "alpha1"),
+        alpha2=_number(bg, "background", "alpha2"),
+        # a weight left out keeps BackgroundSpec's default
+        **{key: _number(weights, "background.weights", key) for key in weights},
+    )
 
     prop = _section(doc, "propagation", required=False)
     normalization = prop.get("normalization", ExperimentConfig.propagator_normalization)
@@ -198,17 +203,15 @@ def parse_config(doc: dict) -> LoadedConfig:
             f"propagation.normalization: must be one of {NORMALIZATIONS}, got {normalization!r}"
         )
 
-    try:
-        experiment = ExperimentConfig(
-            scenario=doc.get("scenario"),
-            bell_kind=doc.get("bell_kind", 1),
-            entangled_fraction=fraction,
-            background=background,
-            geometry=geometry,
-            propagator_normalization=normalization,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    experiment = _built(
+        "", ExperimentConfig,
+        scenario=doc.get("scenario"),
+        bell_kind=doc.get("bell_kind", 1),
+        entangled_fraction=fraction,
+        background=background,
+        geometry=geometry,
+        propagator_normalization=normalization,
+    )
 
     chsh_section = _section(doc, "chsh", required=False)
     if chsh_section:

@@ -79,16 +79,16 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
-            raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+            raise ValueError(f"scenario: must be one of {SCENARIOS}, got {self.scenario!r}")
         if type(self.bell_kind) is not int or self.bell_kind not in (1, 2):
-            raise ValueError(f"bell_kind must be 1 or 2, got {self.bell_kind!r}")
+            raise ValueError(f"bell_kind: must be 1 or 2, got {self.bell_kind!r}")
         f = float(self.entangled_fraction)
         if not math.isfinite(f) or not 0.0 <= f <= 1.0:
-            raise ValueError(f"entangled_fraction must lie in [0, 1], got {f!r}")
+            raise ValueError(f"entangled_fraction: must lie in [0, 1], got {f!r}")
         object.__setattr__(self, "entangled_fraction", f)
         if self.propagator_normalization not in NORMALIZATIONS:
             raise ValueError(
-                f"propagator_normalization must be one of {NORMALIZATIONS}, "
+                f"propagator_normalization: must be one of {NORMALIZATIONS}, "
                 f"got {self.propagator_normalization!r}"
             )
 

@@ -847,6 +847,18 @@ def test_bad_config_values_exit_two(tmp_path, capsys, field, value):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("scenario", "III", "must be one of ('I', 'II'), got 'III'"),
+    ("bell_kind", 3, "must be 1 or 2, got 3"),
+    ("entangled_fraction", 1.5, "must lie in [0, 1], got 1.5"),
+])
+def test_root_refusals_name_their_field(tmp_path, capsys, field, value, reason):
+    # the root's values read "<field>: <reason>", as every section's do
+    path = write_variant(tmp_path, "bad.yaml", **{field: value})
+    assert run(["chsh", "--config", str(path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {field}: {reason}\n"
+
+
 def test_chsh_runs_at_a_dark_fringe_of_strong_spherical_legs(tmp_path, capsys):
     # legs of 1-2 cm with spherical normalization make each route's rate
     # ~1e8, and two fully polarized sources on one axis put the background
@@ -1008,7 +1020,7 @@ def test_rerun_replaces_output_and_manifest_with_fresh_files(
 
 
 @pytest.mark.parametrize("argv, with_config, seed", [
-    (SUBCOMMANDS[0], True, 0),
+    (SUBCOMMANDS[0], True, None),
     (SUBCOMMANDS[0] + ["--n", "1000", "--seed", "7"], True, 7),
     (SUBCOMMANDS[1], True, None),
     (SUBCOMMANDS[1] + ["--n", "100", "--seed", "3"], True, 3),

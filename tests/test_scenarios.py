@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import far_field_geometry, make_config, random_geometry
+from helpers import far_field_geometry, make_config, random_geometry, readme_config
 
 from skybell import (
     TSIRELSON_BOUND,
@@ -61,6 +61,33 @@ def test_pure_signal_follows_the_cosine_law():
             parts = coincidence_correlator(cfg, PolarizerAxis(ta), PolarizerAxis(tb))
             assert abs(parts.e - sign * math.cos(2.0 * (ta - tb))) < 1e-12
             assert parts.weight_background == 0.0
+
+
+@pytest.mark.parametrize("scenario, kind", [
+    ("I", 1),
+    pytest.param("I", 2, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the model weights the singlet by |a + b|^2 (ROADMAP item 15)")),
+    ("II", 1),
+    ("II", 2),
+])
+@pytest.mark.parametrize("where", ["readme", "random"])
+def test_signal_weight_follows_the_pair_states_swap_sign(scenario, kind, where):
+    # the swap leaves kind 1 as it is and flips the singlet's sign, so the
+    # pair reaches (A, B) with weight |a + b|^2 or |a - b|^2 over its routes
+    if where == "readme":
+        readme = readme_config().experiment
+        setups = [(readme.geometry, readme.propagator_normalization)]
+    else:
+        rng = np.random.default_rng(15)
+        setups = [(random_geometry(rng), normalization)
+                  for normalization in ("phase-only", "spherical") for _ in range(10)]
+    sign = 1.0 if kind == 1 else -1.0
+    for geometry, normalization in setups:
+        cfg = make_config(scenario=scenario, bell_kind=kind, geometry=geometry,
+                          normalization=normalization)
+        a, b = effective_amplitudes(cfg).routes()
+        assert cfg.model.w_signal == cfg.entangled_fraction * abs(a + sign * b) ** 2
 
 
 def test_pure_background_is_the_separable_product():
