@@ -514,8 +514,7 @@ def run(argv=None) -> int:
     except MemoryError as exc:  # a grid or baseline too large to allocate
         print(f"config error: the requested sizes do not fit in memory ({exc})", file=sys.stderr)
         return EXIT_CONFIG
-    except (SkybellError, ValueError, FloatingPointError, OverflowError,
-            np.linalg.LinAlgError) as exc:
+    except (SkybellError, ValueError, OverflowError) as exc:  # LinAlgError is a ValueError
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -1,20 +1,22 @@
 """Coincidence-counting Monte Carlo with counter-based random streams.
 
 Every draw comes from a Philox stream keyed by the seed and one 64-bit
-word.  A setting pair sampled with setting index i reads the stream of
-(seed, i << 32), so each CHSH term has its own stream; a sampled scan
-draws its whole grid from the one stream of (seed, scan word).  Philox
-is counter-based, so each stream is a new bit generator built from its
-key, and nothing is kept between streams.
+word.  :func:`_setting_stream` is the one rule for a setting's word: the
+setting pair sampled with setting index i reads the stream of
+(seed, i << 32), so each CHSH term has its own stream and hbt's random
+phases read setting 0's; a sampled scan draws its whole grid from the one
+stream of (seed, scan word).  Philox is counter-based, so each stream is a
+new bit generator built from its key, and nothing is kept between streams.
 A trial first picks the entangled or background channel with probability
 f w_sig / (f w_sig + (1 - f) w_bg), then draws one of the four (+-, +-)
 outcome pairs from that channel's distribution, as read by the config's
 model (:meth:`skybell.scenarios.CorrelationModel.distributions`).  All n
 trials of a setting are drawn at once, one binomial for the channel split
-and one multinomial per channel, so the cost does not grow with n.  The
-estimator is the empirical outcome product with the binomial standard
-error sqrt((1 - e^2)/n).  A sampled scan is the analytic scan's table with
-its correlator column sampled; hbt's random source phases are drawn here too.
+and one multinomial per channel, so the cost does not grow with n.  A draw
+returns its four counts (a :class:`SampleBatch`); the estimator reads them
+as the empirical outcome product with the binomial standard error
+sqrt((1 - e^2)/n).  A sampled scan is the analytic scan's table with its
+correlator column sampled.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from .polarization import ChshConfiguration, PolarizerAxis
 from .scenarios import ChannelDistributions, ExperimentConfig, ScanResult, angular_scan
 
 __all__ = [
-    "EstimatedCorrelator", "SampleBatch", "channel_distributions", "estimate_chsh",
-    "estimate_correlator", "random_phases", "sample_coincidences", "sample_scan",
+    "SampleBatch", "channel_distributions", "estimate_chsh", "estimate_correlator",
+    "random_phases", "sample_coincidences", "sample_scan",
 ]
 
 #: Unused by the sampler; perfbench/spans.py reads it for its chunk count.
@@ -60,9 +62,16 @@ def _stream(seed: int, word: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, word], dtype=np.uint64)))
 
 
+def _setting_stream(seed: int, i: int) -> np.random.Generator:
+    """The stream of setting index i: the Philox stream keyed by (seed, i << 32)."""
+    if not 0 <= i <= _MAX_UINT32:
+        raise ValueError(f"setting index out of range: {i!r}")
+    return _stream(seed, i << 32)
+
+
 def random_phases(seed: int, n: int) -> np.ndarray:
     """(n, 2) source phases, uniform on [0, 2 pi), from setting index 0's stream, for hbt."""
-    return _stream(seed, 0).uniform(0.0, 2.0 * math.pi, size=(n, 2))
+    return _setting_stream(seed, 0).uniform(0.0, 2.0 * math.pi, size=(n, 2))
 
 
 def channel_distributions(
@@ -100,8 +109,6 @@ class SampleBatch:
     n_pm: int
     n_mp: int
     n_mm: int
-    settings: tuple[float, float]
-    seed_record: str
 
     def __post_init__(self):
         for name in ("n_pp", "n_pm", "n_mp", "n_mm"):
@@ -128,45 +135,17 @@ def sample_coincidences(
     Deterministic for a given (seed, setting_index): all n trials come
     from the stream of (seed, setting_index << 32).
     """
-    return _sample(channel_distributions(cfg, a, b), a, b, n, seed, setting_index)
+    dists = channel_distributions(cfg, a, b)
+    return SampleBatch(*_draw(dists, n, _setting_stream(seed, setting_index)).tolist())
 
 
-def _sample(
-    dists: ChannelDistributions,
-    a: PolarizerAxis,
-    b: PolarizerAxis,
-    n: int,
-    seed: int,
-    setting_index: int,
-) -> SampleBatch:
-    """n coincidences from one setting's distributions, on that setting's stream."""
-    if not 0 <= setting_index <= _MAX_UINT32:
-        raise ValueError(f"setting index out of range: {setting_index!r}")
-    counts = _draw(dists, n, _stream(seed, setting_index << 32)).tolist()
-    return SampleBatch(
-        *counts,
-        settings=(a.angle, b.angle),
-        seed_record=f"philox seed={seed} setting={setting_index}",
-    )
-
-
-@dataclass(frozen=True)
-class EstimatedCorrelator:
-    """Sampled correlator with its binomial standard error."""
-
-    e_hat: float
-    stderr: float
-    n: int
-
-
-def estimate_correlator(batch: SampleBatch) -> EstimatedCorrelator:
-    """Empirical outcome product (n_pp + n_mm - n_pm - n_mp) / n_total."""
+def estimate_correlator(batch: SampleBatch) -> tuple[float, float]:
+    """Empirical outcome product (n_pp + n_mm - n_pm - n_mp) / n_total and its stderr."""
     n = batch.n_total
     if n == 0:
         raise ValueError("cannot estimate a correlator from an empty batch")
     e_hat = (batch.n_pp + batch.n_mm - batch.n_pm - batch.n_mp) / n
-    stderr = math.sqrt(max(1.0 - e_hat * e_hat, 0.0) / n)
-    return EstimatedCorrelator(e_hat=e_hat, stderr=stderr, n=n)
+    return e_hat, math.sqrt(max(1.0 - e_hat * e_hat, 0.0) / n)
 
 
 def estimate_chsh(
@@ -181,12 +160,14 @@ def estimate_chsh(
     """
     terms = chsh.terms()
     grid = cfg.model.distributions([a.angle for a, _, _ in terms], [b.angle for _, b, _ in terms])
-    estimates = [
-        estimate_correlator(_sample(_row(grid, i * (len(terms) + 1)), a, b, n_per_setting, seed, i))
-        for i, (a, b, _) in enumerate(terms)
+    batches = [
+        SampleBatch(*_draw(_row(grid, i * (len(terms) + 1)), n_per_setting,
+                           _setting_stream(seed, i)).tolist())
+        for i in range(len(terms))
     ]
-    s_hat = sum(sign * est.e_hat for (_, _, sign), est in zip(terms, estimates))
-    stderr = math.sqrt(sum(est.stderr**2 for est in estimates))
+    estimates = [estimate_correlator(batch) for batch in batches]
+    s_hat = sum(sign * e_hat for (_, _, sign), (e_hat, _) in zip(terms, estimates))
+    stderr = math.sqrt(sum(err**2 for _, err in estimates))
     return s_hat, stderr
 
 

@@ -376,6 +376,21 @@ def test_fit_degenerate_small_separation_scan(tmp_path, capsys):
     assert "rank deficient" in err and "parallel" in err
 
 
+def test_fit_on_fewer_than_four_settings_exits_three(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    row = "0.1,0.2,0.3,0.3,0.3,1,1\n"
+    path.write_text(",".join(SCAN_CSV_COLUMNS) + "\n" + 4 * row, encoding="utf-8")
+    out = tmp_path / "fit.json"
+    argv = ["fit", str(path), "--beta1", "0", "--beta2", "0", "--out", str(out)]
+    assert run(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical error: need at least 4 distinct (theta_a, theta_b) rows, got 1\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv"]
+
+
 def test_fit_rejects_foreign_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n", encoding="utf-8")
@@ -650,6 +665,17 @@ def test_hbt_baseline_through_a_source_exits_three(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert "1->B" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "hbt.csv.manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv", [a for a in SUBCOMMANDS if a[0] != "fit"])
+def test_a_source_on_a_detector_in_the_config_exits_two(tmp_path, capsys, argv):
+    path = write_variant(tmp_path, "on.yaml", **{"geometry.source1": [-1.0, 0.0, 0.0]})
+    out = tmp_path / "out"
+    assert run(fill(argv, path, None) + ["--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: geometry: source/detector pair 1->A is coincident\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["on.yaml"]
 
 
 @pytest.mark.parametrize("argv", [a for a in SUBCOMMANDS if a[0] != "fit"])
