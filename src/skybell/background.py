@@ -50,12 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import (
-    PolarizerAxis,
-    Projector,
-    SourceDensityMatrix,
-    source_density,
-)
+from .polarization import PolarizerAxis, Projector, SourceDensityMatrix
 from .propagation import PathAmplitudeSet
 
 __all__ = [
@@ -124,8 +119,8 @@ class BackgroundSpec:
 
     def densities(self) -> tuple[SourceDensityMatrix, SourceDensityMatrix]:
         return (
-            source_density(self.axis1, self.alpha1),
-            source_density(self.axis2, self.alpha2),
+            SourceDensityMatrix(self.axis1, self.alpha1),
+            SourceDensityMatrix(self.axis2, self.alpha2),
         )
 
     def pairings(self):

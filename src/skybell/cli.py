@@ -81,18 +81,13 @@ def _create(path: str, data: bytes) -> None:
     The create is exclusive, so a symlink left at ``path`` is unlinked and
     its target never written.
     """
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        fd = os.open(path, flags, 0o666)
+        fh = open(path, "xb")
     except FileExistsError:
         os.unlink(path)
-        fd = os.open(path, flags, 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-    finally:
-        os.close(fd)
+        fh = open(path, "xb")
+    with fh:
+        fh.write(data)
 
 
 def _write_fresh(files) -> None:
@@ -228,8 +223,9 @@ def read_scan_csv(path: Path) -> ScanResult:
     """Read a scan CSV: one header, then rows of decimal, nan or inf tokens.
 
     Blank and ``#`` lines are skipped anywhere; a ``#`` after a value is not
-    a comment.  One pass over the head of the file checks the header and
-    finds the first data row; numpy then reads the rest by path, in blocks.
+    a comment, and a leading UTF-8 byte-order mark is dropped.  One pass
+    over the head of the file checks the header and finds the first data
+    row; numpy then reads the rest by path, in blocks.
     A file it refuses (a ``#`` or whitespace-only line after the first row,
     or a malformed row), a pipe or another file that cannot seek, and a
     name ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` are instead read
@@ -248,11 +244,12 @@ def _scan_rows(path: Path) -> np.ndarray:
     """The data rows of a scan CSV as one 2-D array, header checked.
 
     The head pass reads up to the first data row and counts the lines
-    before it; the block read skips that many lines.  numpy skips empty
+    before it; the block read skips that many lines, the line of a
+    byte-order mark among them.  numpy skips empty
     lines, and a whitespace-only or ``#`` line never parses as seven
     floats, so a block read that succeeds equals the line-filtered one.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         rows = ((n, line) for n, line in enumerate(fh) if _is_content(line))
         _, header = next(rows, (0, None))
         if header is not None and tuple(header.strip().split(",")) != SCAN_CSV_COLUMNS:

@@ -32,8 +32,8 @@ from .polarization import ChshConfiguration, PolarizerAxis
 from .scenarios import ChannelDistributions, ExperimentConfig, ScanResult, angular_scan
 
 __all__ = [
-    "SampleBatch", "channel_distributions", "estimate_chsh", "estimate_correlator",
-    "random_phases", "sample_coincidences", "sample_scan",
+    "SampleBatch", "channel_distributions", "estimate_chsh", "random_phases",
+    "sample_coincidences", "sample_scan",
 ]
 
 #: Unused by the sampler; perfbench/spans.py reads it for its chunk count.

@@ -49,10 +49,9 @@ import numpy as np
 
 __all__ = [
     "TSIRELSON_BOUND", "ChshConfiguration", "PolarizerAxis", "Projector",
-    "SourceDensityMatrix", "TwoPhotonPureState", "axis_angle_between", "bell_state",
-    "chsh_expectation", "chsh_operator", "chsh_operator_square",
-    "chsh_square_spectral_bound", "correlator", "joint_outcome_probability",
-    "outcome_projector", "projector_from_axis", "source_density",
+    "SourceDensityMatrix", "TwoPhotonPureState", "bell_state", "chsh_expectation",
+    "chsh_operator", "chsh_operator_square", "chsh_square_spectral_bound", "correlator",
+    "joint_outcome_probability", "projector_from_axis", "source_density",
 ]
 
 #: Quantum bound on the absolute CHSH sum, 2*sqrt(2).
@@ -124,9 +123,8 @@ class Projector:
         object.__setattr__(self, "m", m)
 
 
-def projector_from_axis(axis: PolarizerAxis) -> Projector:
-    """Build the +-1 polarizer observable for an axis."""
-    return Projector(axis)
+#: The +-1 polarizer observable for an axis: the type itself.
+projector_from_axis = Projector
 
 
 def outcome_projector(axis: PolarizerAxis, outcome: int) -> np.ndarray:
@@ -137,7 +135,7 @@ def outcome_projector(axis: PolarizerAxis, outcome: int) -> np.ndarray:
     """
     if outcome not in (+1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome!r}")
-    return 0.5 * (_I2 + outcome * projector_from_axis(axis).m)
+    return 0.5 * (_I2 + outcome * Projector(axis).m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +184,7 @@ def correlator(state: TwoPhotonPureState, a: PolarizerAxis, b: PolarizerAxis) ->
     Computes <state| P(a) x P(b) |state>; the result lies in [-1, 1].
     """
     amp = state.amp
-    op = np.kron(projector_from_axis(a).m, projector_from_axis(b).m)
+    op = np.kron(Projector(a).m, Projector(b).m)
     return float(np.vdot(amp, op @ amp).real)
 
 
@@ -239,7 +237,7 @@ def chsh_expectation(state: TwoPhotonPureState, cfg: ChshConfiguration) -> float
 def chsh_operator(cfg: ChshConfiguration) -> np.ndarray:
     """The CHSH observable as a 4x4 matrix on the pair basis."""
     return sum(
-        sign * np.kron(projector_from_axis(a).m, projector_from_axis(b).m)
+        sign * np.kron(Projector(a).m, Projector(b).m)
         for a, b, sign in cfg.terms()
     )
 
@@ -280,10 +278,13 @@ class SourceDensityMatrix:
     """2x2 polarization density matrix of a partially polarized source.
 
     Built from its parameters, the polarization axis n and the excess
-    alpha (the only value checked: >= 0, with 2 + 2 alpha finite): the
-    read-only complex matrix ``rho`` =
+    alpha: the read-only complex matrix ``rho`` =
     [(1 + 2 alpha)|n><n| + |n_perp><n_perp|] / (2 + 2 alpha) is stored for
-    direct trace arithmetic.
+    direct trace arithmetic.  Its eigenvalues are (1 + 2 alpha)/(2 + 2 alpha)
+    and 1/(2 + 2 alpha): alpha = 0 is unpolarized (I/2), and alpha -> inf
+    approaches a pure state along the axis.  alpha is the only value
+    checked: ValueError unless alpha >= 0 and 2 + 2 alpha is finite (from
+    alpha ~ 9e307 on it overflows and rho would be NaN).
     """
 
     axis: PolarizerAxis
@@ -307,15 +308,8 @@ class SourceDensityMatrix:
         object.__setattr__(self, "rho", rho)
 
 
-def source_density(axis: PolarizerAxis, alpha: float) -> SourceDensityMatrix:
-    """Density matrix of a source with excess polarization alpha along axis.
-
-    Its eigenvalues are (1 + 2 alpha)/(2 + 2 alpha) and 1/(2 + 2 alpha).
-    alpha = 0 is unpolarized (I/2); alpha -> inf approaches a pure state
-    along the axis.  Raises ValueError unless alpha >= 0 and 2 + 2 alpha
-    is finite (from alpha ~ 9e307 on it overflows and rho would be NaN).
-    """
-    return SourceDensityMatrix(axis, alpha)
+#: Density matrix of a source with excess polarization alpha along an axis: the type itself.
+source_density = SourceDensityMatrix
 
 
 def joint_outcome_probability(

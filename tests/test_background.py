@@ -12,7 +12,6 @@ from skybell import (
     background_correlator,
     effective_density_matrix,
     interference_trace,
-    outcome_projector,
     path_amplitudes,
     polarizer_trace,
     projector_from_axis,
@@ -20,6 +19,7 @@ from skybell import (
     source_density,
 )
 from skybell.background import OUTCOME_PAIRS, correlation_tensor
+from skybell.polarization import outcome_projector
 
 UNIT_AMPS = PathAmplitudeSet(d1a=1.0, d2a=1.0, d1b=1.0, d2b=1.0)
 MASKED_UNIT = scenario2_mask(UNIT_AMPS)

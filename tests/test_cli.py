@@ -1,6 +1,8 @@
 import argparse
+import codecs
 import dataclasses
 import errno
+import io
 import json
 import math
 import os
@@ -216,10 +218,13 @@ def test_clean_scan_files_are_read_in_one_streamed_parse(scan_csv, tmp_path, mon
     )
     written = tmp_path / "written.csv"
     cli.write_scan_csv(written, expected)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(codecs.BOM_UTF8 + written.read_bytes())
     monkeypatch.setattr(cli, "_rows", no_fallback)
-    # the scan output starts with its "# manifest:" line, the written file with the header
+    # the scan output starts with its "# manifest:" line, the written file with
+    # the header, the marked file with a byte-order mark before the header
     assert scan_csv.read_text(encoding="utf-8").startswith("# manifest: ")
-    for path in (scan_csv, written):
+    for path in (scan_csv, written, marked):
         scan = read_scan_csv(path)
         assert block_reads.pop() == path and block_reads == []
         for field in dataclasses.fields(scan):
@@ -1136,13 +1141,21 @@ def test_short_writes_still_write_every_byte(config_path, scan_csv, tmp_path, mo
         out.parent.mkdir()
     assert run(fill(argv, config_path, scan_csv) + ["--out", str(whole)]) == EXIT_OK
 
-    write, written = os.write, []
+    written = []
 
-    def write_at_most_7_bytes(fd, data):
-        written.append(write(fd, data[:7]))
-        return written[-1]
+    class WriteAtMost7Bytes(io.FileIO):
+        def write(self, data):
+            written.append(super().write(data[:7]))
+            return written[-1]
 
-    monkeypatch.setattr(os, "write", write_at_most_7_bytes)
+    def open_short(path, mode="r", **kwargs):
+        # what open(path, "xb") returns, a buffered writer, over a raw file that
+        # writes at most 7 bytes a call
+        if mode != "xb":
+            return open(path, mode, **kwargs)
+        return io.BufferedWriter(WriteAtMost7Bytes(path, mode))
+
+    monkeypatch.setattr(cli, "open", open_short, raising=False)
     short_argv = fill(argv, config_path, scan_csv) + ["--out", str(short)]
     assert run(short_argv) == EXIT_OK
     monkeypatch.undo()
@@ -1194,14 +1207,12 @@ def test_failed_manifest_write_keeps_previous_output_and_manifest(
     assert run(first) == EXIT_OK
     old_bytes = [out.read_bytes(), manifest_path.read_bytes()]
 
-    open_file = os.open
-
     def disk_full_at_manifest(path, *args, **kwargs):
         if os.fspath(path).endswith(".manifest.json.tmp"):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)) if error is OSError else error
-        return open_file(path, *args, **kwargs)
+        return open(path, *args, **kwargs)
 
-    monkeypatch.setattr(os, "open", disk_full_at_manifest)
+    monkeypatch.setattr(cli, "open", disk_full_at_manifest, raising=False)
     # both texts are written before any file is moved, so nothing is renamed
     monkeypatch.setattr(os, "rename", lambda source, target: pytest.fail(f"renamed {source}"))
     if error is OSError:

@@ -113,6 +113,7 @@ def test_exponent_floats_extend_both_loaders_alike():
     ("a: 1\nb: 2\na: 3\n", "a"),
     ("s:\n  x: 1\n  y: 2\n  x: 1\n", "x"),
     ("w: {p: 1, q: 2, p: 3}\n", "p"),
+    ("m:\n  <<: {x: 1}\n  x: 2\n  x: 3\n", "x"),
 ])
 def test_both_loaders_refuse_a_repeated_key(text, key):
     for base in LOADER_BASES:

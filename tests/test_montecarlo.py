@@ -15,13 +15,12 @@ from skybell import (
     channel_distributions,
     coincidence_correlator,
     estimate_chsh,
-    estimate_correlator,
     random_phases,
     sample_coincidences,
     sample_scan,
 )
 from skybell import montecarlo
-from skybell.montecarlo import MAX_SAMPLE_SIZE, _SCAN_WORD, _stream
+from skybell.montecarlo import MAX_SAMPLE_SIZE, _SCAN_WORD, _stream, estimate_correlator
 
 A = PolarizerAxis(0.2)
 B = PolarizerAxis(0.7)

@@ -8,7 +8,6 @@ from skybell import (
     ChshConfiguration,
     PolarizerAxis,
     TwoPhotonPureState,
-    axis_angle_between,
     bell_state,
     chsh_expectation,
     chsh_operator,
@@ -16,10 +15,10 @@ from skybell import (
     chsh_square_spectral_bound,
     correlator,
     joint_outcome_probability,
-    outcome_projector,
     projector_from_axis,
     source_density,
 )
+from skybell.polarization import axis_angle_between, outcome_projector
 
 RT2 = math.sqrt(2.0)
 
