@@ -7,7 +7,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from skybell import BackgroundSpec, ExperimentConfig, Geometry, PolarizerAxis, scenarios
+import oracle
+
+from skybell import (
+    BackgroundSpec, ExperimentConfig, Geometry, PolarizerAxis, effective_amplitudes, scenarios,
+)
 from skybell.config import parse_config
 
 
@@ -108,3 +112,26 @@ def outcome_rates(k, theta_a, theta_b):
     bars_a, bars_b = scenarios._outcome_vectors(theta_a), scenarios._outcome_vectors(theta_b)
     rates = scenarios._outcome_rates(k, bars_a, bars_b)
     return rates.reshape(np.shape(theta_a) + np.shape(theta_b) + (4,))
+
+
+def oracle_legs(cfg):
+    """cfg's legs ((d1A, d1B), (d2A, d2B)), read off ``effective_amplitudes``."""
+    amps = effective_amplitudes(cfg)
+    return (amps.d1a, amps.d1b), (amps.d2a, amps.d2b)
+
+
+def oracle_rates(cfg, analyzer_a, analyzer_b):
+    """The oracle's (signal, background) coincidence rates for cfg, one per outcome pair.
+
+    The signal is the Bell state of cfg's kind from sources (1, 2), the
+    background each pairing's product state by its weight, with the
+    densities read off cfg's background.
+    """
+    legs = oracle_legs(cfg)
+    rhos = [density.rho for density in cfg.background.densities()]
+    signal = oracle.events(legs, oracle.pure(oracle.BELL[cfg.bell_kind]), analyzer_a, analyzer_b)
+    background = sum(
+        w * oracle.events(legs, np.kron(rhos[i], rhos[j]), analyzer_a, analyzer_b, i, j)[0]
+        for w, i, j in cfg.background.pairings()
+    )
+    return signal[0], background

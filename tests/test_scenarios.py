@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import far_field_geometry, make_config, random_geometry, readme_config
+from helpers import far_field_geometry, make_config, oracle_rates, random_geometry, readme_config
+from oracle import linear_analyzer
 
 from skybell import (
     TSIRELSON_BOUND,
@@ -73,8 +74,9 @@ def test_pure_signal_follows_the_cosine_law():
 ])
 @pytest.mark.parametrize("where", ["readme", "random"])
 def test_signal_weight_follows_the_pair_states_swap_sign(scenario, kind, where):
-    # the swap leaves kind 1 as it is and flips the singlet's sign, so the
-    # pair reaches (A, B) with weight |a + b|^2 or |a - b|^2 over its routes
+    # the reference is the second-quantized oracle: its total signal rate is
+    # |a + b|^2 for kind 1, which the photon swap leaves as it is, and
+    # |a - b|^2 for the singlet, whose sign the swap flips
     if where == "readme":
         readme = readme_config().experiment
         setups = [(readme.geometry, readme.propagator_normalization)]
@@ -82,12 +84,12 @@ def test_signal_weight_follows_the_pair_states_swap_sign(scenario, kind, where):
         rng = np.random.default_rng(15)
         setups = [(random_geometry(rng), normalization)
                   for normalization in ("phase-only", "spherical") for _ in range(10)]
-    sign = 1.0 if kind == 1 else -1.0
     for geometry, normalization in setups:
         cfg = make_config(scenario=scenario, bell_kind=kind, geometry=geometry,
                           normalization=normalization)
-        a, b = effective_amplitudes(cfg).routes()
-        assert cfg.model.w_signal == cfg.entangled_fraction * abs(a + sign * b) ** 2
+        signal, _ = oracle_rates(cfg, linear_analyzer(0.0), linear_analyzer(0.0))
+        expected = cfg.entangled_fraction * signal.sum()
+        assert abs(cfg.model.w_signal - expected) <= 1e-12 * expected
 
 
 def test_pure_background_is_the_separable_product():
