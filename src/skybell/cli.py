@@ -132,6 +132,21 @@ def _write_fresh(files) -> None:
         os.unlink(path + ".old")
 
 
+def _check_out(out: str, source: str) -> None:
+    """Raise OSError if ``out`` names no file, or it or its manifest is the file ``source``."""
+    # the raw string: Path drops a trailing '/' or '/.'
+    if os.path.basename(out) in ("", ".", ".."):
+        raise OSError(f"--out {out!r} names no file")
+    source_stat = os.stat(source)  # a source that cannot be stat'ed cannot be read either
+    for name in (out, out + ".manifest.json"):
+        try:
+            same = os.path.samestat(os.stat(name), source_stat)
+        except OSError:  # no file there yet, or one the write will report
+            continue
+        if same:  # publishing would unlink the input
+            raise OSError(f"--out {out!r} would replace the input file {name!r}")
+
+
 def _publish(args, argv, render, seed) -> None:
     """Write ``render(manifest name)`` to ``args.out`` and the manifest beside it, in one step."""
     out = os.fspath(Path(args.out))
@@ -200,11 +215,6 @@ def write_scan_csv(path: Path, scan: ScanResult) -> None:
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _is_content(line: str) -> bool:
-    """Whether a line is neither blank nor a ``#`` comment."""
-    return line.lstrip()[:1] not in ("", "#")
-
-
 def _rows(source, skip: int = 0) -> np.ndarray | None:
     """``source`` (a path or lines) after its first ``skip`` lines as seven-column rows.
 
@@ -241,7 +251,7 @@ def read_scan_csv(path: Path) -> ScanResult:
 
 
 def _scan_rows(path: Path) -> np.ndarray:
-    """The data rows of a scan CSV as one 2-D array, header checked.
+    """The data rows of a scan CSV as one 2-D array, header checked; ValueError if refused.
 
     The head pass reads up to the first data row and counts the lines
     before it; the block read skips that many lines, the line of a
@@ -250,17 +260,15 @@ def _scan_rows(path: Path) -> np.ndarray:
     floats, so a block read that succeeds equals the line-filtered one.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        rows = ((n, line) for n, line in enumerate(fh) if _is_content(line))
+        rows = ((n, line) for n, line in enumerate(fh) if line.lstrip()[:1] not in ("", "#"))
         _, header = next(rows, (0, None))
         if header is not None and tuple(header.strip().split(",")) != SCAN_CSV_COLUMNS:
-            raise ConfigError(
-                f"scan file {path}: header {header.strip()!r} does not "
-                f"match {','.join(SCAN_CSV_COLUMNS)!r}"
-            )
+            raise ValueError(f"header {header.strip()!r} does not match "
+                             f"{','.join(SCAN_CSV_COLUMNS)!r}")
         # checked here, so loadtxt never sees (and never warns about) empty input
         skip, first = next(rows, (0, None))
         if first is None:
-            raise ConfigError(f"scan file {path}: no data rows")
+            raise ValueError("no data rows")
         # numpy would read a pipe on from where this pass stopped and open
         # these names through a decompressor, so they are read on from here
         if fh.seekable() and os.path.splitext(path)[1] not in _DECOMPRESSED_SUFFIXES:
@@ -272,7 +280,7 @@ def _scan_rows(path: Path) -> np.ndarray:
     if data is None:
         # only their column counts couple rows, so some row is refused alone
         row = next(line for line in lines if _rows([line]) is None)
-        raise ConfigError(f"scan file {path}: malformed row {row.strip()!r}")
+        raise ValueError(f"malformed row {row.strip()!r}")
     return data
 
 
@@ -332,14 +340,15 @@ def _parse_angles(text: str) -> ChshConfiguration:
     return ChshConfiguration(*map(PolarizerAxis, (a, a_prime, b, b_prime)))
 
 
-def _load(args) -> tuple[LoadedConfig, int]:
-    """The config named by ``--config`` and the seed: ``--seed`` if given, else the config's."""
+def _load(args, draws) -> tuple[LoadedConfig, int | None]:
+    """The ``--config``, and the seed if the run ``draws`` (``--seed``, else the config's)."""
     loaded = load_config(args.config)
-    return loaded, args.seed if args.seed is not None else loaded.seed
+    seed = args.seed if args.seed is not None else loaded.seed
+    return loaded, seed if draws else None
 
 
 def cmd_chsh(args, argv) -> int:
-    loaded, seed = _load(args)
+    loaded, seed = _load(args, args.n)
     chsh = _parse_angles(args.angles) if args.angles else loaded.chsh
 
     s_analytic = chsh_with_background(loaded.experiment, chsh)
@@ -357,12 +366,12 @@ def cmd_chsh(args, argv) -> int:
         }
 
     if args.out:
-        _publish(args, argv, functools.partial(_json_text, report), seed if args.n else None)
+        _publish(args, argv, functools.partial(_json_text, report), seed)
     return EXIT_OK
 
 
 def cmd_scan(args, argv) -> int:
-    loaded, seed = _load(args)
+    loaded, seed = _load(args, args.n)
     grid_a = np.deg2rad(_parse_grid(args.grid_a, "--grid-a"))
     grid_b = np.deg2rad(_parse_grid(args.grid_b, "--grid-b"))
 
@@ -372,7 +381,7 @@ def cmd_scan(args, argv) -> int:
         scan = angular_scan(loaded.experiment, grid_a, grid_b)
 
     render = functools.partial(_csv_text, SCAN_CSV_COLUMNS, _csv_rows(*_scan_columns(scan)))
-    _publish(args, argv, render, seed if args.n else None)
+    _publish(args, argv, render, seed)
     print(f"wrote {len(scan)} rows to {Path(args.out)}")
     return EXIT_OK
 
@@ -385,9 +394,8 @@ def cmd_fit(args, argv) -> int:
         beta2=math.radians(args.beta2),
         background_basis=args.background_basis,
     )
-    doc = report.to_dict()
     if args.out:
-        _publish(args, argv, functools.partial(_json_text, doc), None)
+        _publish(args, argv, functools.partial(_json_text, report.to_dict()), None)
     print(
         f"S_hat = {report.s_hat:.6f}  B_hat = {report.b_hat:.6f}  "
         f"residual_rms = {report.residual_rms:.3e}  bell_S = {report.bell_s:.6f}"
@@ -398,17 +406,16 @@ def cmd_fit(args, argv) -> int:
 
 
 def cmd_hbt(args, argv) -> int:
-    loaded, seed = _load(args)
+    loaded, seed = _load(args, args.random_phases)
     lengths = _parse_grid(args.baseline, "--baseline")
-    phases = np.zeros((len(lengths), 2))
-    if args.random_phases:
-        phases = random_phases(seed, len(lengths))
+    # unless drawn, the phases are hbt_scan's zeros
+    phases = random_phases(seed, len(lengths)).T if args.random_phases else ()
     normalization = loaded.experiment.propagator_normalization
-    fringe = hbt_scan(loaded.experiment.geometry, lengths, *phases.T, normalization)
+    fringe = hbt_scan(loaded.experiment.geometry, lengths, *phases, normalization=normalization)
 
     rows = _sweep_rows(lengths, fringe.total, fringe.interference)
     render = functools.partial(_csv_text, HBT_CSV_COLUMNS, rows)
-    _publish(args, argv, render, seed if args.random_phases else None)
+    _publish(args, argv, render, seed)
     print(f"wrote {len(lengths)} rows to {Path(args.out)}")
     return EXIT_OK
 
@@ -499,10 +506,8 @@ def run(argv=None) -> int:
         # argparse exits 2 on bad usage, which matches the config-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        out = getattr(args, "out", None)
-        # the raw string: Path drops a trailing '/' or '/.'
-        if out is not None and os.path.basename(out) in ("", ".", ".."):
-            raise OSError(f"--out {out!r} names no file")
+        if args.out is not None:
+            _check_out(args.out, args.scan_csv if args.command == "fit" else args.config)
         # looked up at call time, so a cmd_<name> rebound on the module is the one run
         return globals()[f"cmd_{args.command}"](args, argv)
     except ConfigError as exc:

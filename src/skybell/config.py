@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
 import yaml
 
 from .background import BackgroundSpec
@@ -103,11 +102,9 @@ def _known_keys(mapping: dict, path: str) -> dict:
 def _section(doc: dict, label: str, required: bool = True) -> dict:
     """The mapping at ``label`` (a dotted path; ``doc`` holds its last part)."""
     name = label.rsplit(".", 1)[-1]
-    if name not in doc:
-        if required:
-            raise ConfigError(f"{label}: missing required section")
-        return {}
-    value = doc[name]
+    if required and name not in doc:
+        raise ConfigError(f"{label}: missing required section")
+    value = doc.get(name)
     if value is None:
         return {}
     if not isinstance(value, dict):
@@ -144,13 +141,13 @@ def _axis(section: dict, path: str, key: str) -> PolarizerAxis:
     return PolarizerAxis(math.radians(_number(section, path, key)))
 
 
-def _point(section: dict, path: str, key: str) -> np.ndarray:
+def _point(section: dict, path: str, key: str) -> list[float]:
     if key not in section:
         raise ConfigError(f"{path}.{key}: missing required value")
     value = section[key]
     if not (isinstance(value, (list, tuple)) and len(value) == 3 and all(map(_is_number, value))):
         raise ConfigError(f"{path}.{key}: must be a list of 3 numbers, got {value!r}")
-    return np.array([_float(v, f"{path}.{key}") for v in value])
+    return [_float(v, f"{path}.{key}") for v in value]
 
 
 def _built(prefix: str, build, /, **fields):
@@ -270,10 +267,7 @@ def dump_config(loaded: LoadedConfig) -> str:
         "bell_kind": exp.bell_kind,
         "entangled_fraction": exp.entangled_fraction,
         "geometry": {
-            "source1": [float(v) for v in geo.source1],
-            "source2": [float(v) for v in geo.source2],
-            "detector_a": [float(v) for v in geo.detector_a],
-            "detector_b": [float(v) for v in geo.detector_b],
+            **{key: getattr(geo, key).tolist() for key in _KEYS["geometry"][:4]},
             "wavenumber": geo.wavenumber,
         },
         "propagation": {"normalization": exp.propagator_normalization},

@@ -1052,11 +1052,14 @@ def test_rerun_replaces_output_and_manifest_with_fresh_files(
 
 @pytest.mark.parametrize("argv, with_config, seed", [
     (SUBCOMMANDS[0], True, None),
+    (SUBCOMMANDS[0] + ["--seed", "5"], True, None),
     (SUBCOMMANDS[0] + ["--n", "1000", "--seed", "7"], True, 7),
     (SUBCOMMANDS[1], True, None),
+    (SUBCOMMANDS[1] + ["--seed", "5"], True, None),
     (SUBCOMMANDS[1] + ["--n", "100", "--seed", "3"], True, 3),
     (SUBCOMMANDS[2], False, None),
     (SUBCOMMANDS[3], True, None),
+    (SUBCOMMANDS[3] + ["--seed", "9"], True, None),
     (SUBCOMMANDS[3] + ["--random-phases", "--seed", "9"], True, 9),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_manifest_format_is_pinned(config_path, scan_csv, tmp_path, argv, with_config, seed):
@@ -1276,6 +1279,33 @@ def test_an_out_without_a_file_name_exits_four_before_any_work(
     assert captured.out == ""
     assert captured.err == f"i/o error: --out {out!r} names no file\n"
     assert (sorted(os.listdir(tmp_path)), [os.path.lexists(p) for p in written]) == before
+
+
+@pytest.mark.parametrize("suffix", ["", ".manifest.json"], ids=["output", "manifest"])
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+def test_a_run_onto_its_own_input_exits_four_before_any_work(
+    config_path, scan_csv, tmp_path, monkeypatch, capsys, argv, suffix
+):
+    def unreachable(path):
+        raise AssertionError(f"read {path} before refusing --out")
+
+    source = scan_csv if argv[0] == "fit" else config_path
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "input"
+    held = runs / f"input{suffix}"  # the file the output or its manifest would replace
+    held.write_bytes(source.read_bytes())
+    monkeypatch.setattr(cli, "load_config", unreachable)
+    monkeypatch.setattr(cli, "read_scan_csv", unreachable)
+    capsys.readouterr()
+    assert run(fill(argv, held, held) + ["--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"i/o error: --out {str(out)!r} would replace the input file {str(held)!r}\n"
+    )
+    assert os.listdir(runs) == [held.name]
+    assert held.read_bytes() == source.read_bytes()
 
 
 @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
